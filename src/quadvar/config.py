@@ -4,8 +4,9 @@ A config is a single JSON object.  Validation is deliberately unforgiving:
 unknown keys are rejected with their full path, parse errors carry line and
 column, and every experiment declares exactly which sections it reads.  The
 canonical hash covers the experiment-defining content (seed included, output
-destination excluded) so that re-running the same config, or the same config
-with its keys reordered, always lands on the same digest.
+destination excluded, a kernel table read from a file by its contents) so
+that re-running the same config, or the same config with its keys reordered,
+always lands on the same digest.
 """
 
 from __future__ import annotations
@@ -312,12 +313,23 @@ def _build_sweep(section: Any, where: str) -> tuple[tuple[int, float], ...]:
     return tuple(sweep)
 
 
+def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
+    """Conditions the esd run needs that the sections do not check alone."""
+    for i, (lam, _) in enumerate(atoms):
+        if not lam > 0.0:
+            raise ConfigError(f"spectral.atoms[{i}][0]: esd needs lambda > 0, got {lam}")
+    for i, (p, _) in enumerate(sizes):
+        if p < len(atoms):
+            raise ConfigError(f"sizes[{i}][0]: p = {p} cannot host {len(atoms)} atoms")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A fully validated config with defaults applied.
 
-    ``canonical`` is the defaults-filled plain-JSON image of the config and
-    is what the hash digests; ``out`` and ``fmt`` route output but do not
+    ``canonical`` is the defaults-filled plain-JSON image of the config, with
+    a tabulated kernel's grid and values in place of its csv path, and is
+    what the hash digests; ``out`` and ``fmt`` route output but do not
     participate in it.
     """
 
@@ -440,7 +452,9 @@ def validate(
 
     kwargs: dict[str, Any] = {}
     if "replicates" in raw:
-        kwargs["replicates"] = _expect_int(raw["replicates"], "replicates", minimum=1)
+        # A sample variance or standard error needs two replicates.
+        minimum = 2 if experiment in ("quadform_var", "fourth_moment") else 1
+        kwargs["replicates"] = _expect_int(raw["replicates"], "replicates", minimum=minimum)
     if "max_lag" in raw:
         kwargs["max_lag"] = _expect_int(raw["max_lag"], "max_lag", minimum=1)
     if "p_ref" in raw:
@@ -461,6 +475,8 @@ def validate(
         kwargs["grid"] = _build_grid(raw["grid"], "grid")
     if "sweep" in raw:
         kwargs["sweep"] = _build_sweep(raw["sweep"], "sweep")
+    if experiment == "esd":
+        _check_esd(raw["spectral"]["atoms"], kwargs["sizes"])
 
     out = raw.get("out")
     if out is not None:
@@ -484,6 +500,14 @@ def validate(
             continue
         if key in raw:
             canonical[key] = raw[key]
+    if "kernel" in kwargs and kwargs["kernel"].variant == "tabulated":
+        # Hash the table, not the path of the file it came from.
+        kernel = kwargs["kernel"]
+        canonical["kernel"] = {
+            "name": "tabulated",
+            "grid": list(kernel.grid),
+            "values": list(kernel.values),
+        }
     if "replicates" in allowed:
         canonical["replicates"] = kwargs.get("replicates", 100000)
     if "max_lag" in allowed:

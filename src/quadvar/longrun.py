@@ -400,14 +400,13 @@ def _autocov_tail_sum(model: CovarianceModel, start: int) -> float:
     return 0.0
 
 
-def lrv_true(model: CovarianceModel, tail_tol: float = 1e-12) -> float:
+def lrv_true(model: CovarianceModel) -> float:
     """sigma^2 = sum_j C(j) over all integers j.
 
-    Every bundled model admits an exact evaluation (geometric series for the
-    autoregression, a finite sum for the moving average, white noise
-    otherwise), so ``tail_tol`` never forces a truncation here.
+    Every bundled model admits an exact evaluation: a geometric series for
+    the autoregression, a finite sum for the moving average, white noise
+    otherwise.
     """
-    del tail_tol
     if isinstance(model, GaussianAR1):
         return (1.0 + model.rho) / (1.0 - model.rho)
     if isinstance(model, GaussianMA):

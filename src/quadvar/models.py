@@ -130,70 +130,82 @@ def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _draw_innovations(model: CovarianceModel, p: int, rng: np.random.Generator) -> np.ndarray:
-    if isinstance(model, GaussianAR1):
-        return rng.standard_normal(p)
+def _innovation_width(model: CovarianceModel, p: int) -> int:
+    """Innovations one path of length p consumes."""
+    if isinstance(model, (GaussianAR1, RademacherIID)):
+        return p
     if isinstance(model, GaussianMA):
-        return rng.standard_normal(p + model.order)
-    if isinstance(model, RademacherIID):
-        return rng.integers(0, 2, size=p).astype(float) * 2.0 - 1.0
+        return p + model.order
     if isinstance(model, RademacherProductMDS):
-        return rng.integers(0, 2, size=p + 1).astype(float) * 2.0 - 1.0
+        return p + 1
     raise TypeError(f"unknown model {model!r}")
-
-
-def _paths_from_innovations(model: CovarianceModel, innovations: np.ndarray) -> np.ndarray:
-    """Map a (count, width) innovation block to (count, p) sample paths.
-
-    The arithmetic is elementwise across rows, so a one-row block reproduces
-    the single-path result bit for bit.
-    """
-    z = innovations
-    if isinstance(model, GaussianAR1):
-        rho = model.rho
-        scale = math.sqrt(1.0 - rho * rho)
-        x = np.empty_like(z)
-        x[:, 0] = z[:, 0]
-        for t in range(1, z.shape[1]):
-            x[:, t] = rho * x[:, t - 1] + scale * z[:, t]
-        return x
-    if isinstance(model, GaussianMA):
-        c = np.asarray(model.coeffs)
-        p = z.shape[1] - model.order
-        out = np.empty((z.shape[0], p))
-        for r in range(z.shape[0]):
-            out[r] = np.convolve(z[r], c, mode="valid")
-        return out
-    if isinstance(model, RademacherIID):
-        return z
-    if isinstance(model, RademacherProductMDS):
-        return z[:, :-1] * z[:, 1:]
-    raise TypeError(f"unknown model {model!r}")
-
-
-def generate_path(model: CovarianceModel, p: int, seed: int) -> SamplePath:
-    """Sample X_1..X_p from stream (seed, 0). Deterministic in its arguments."""
-    if p < 1:
-        raise ValueError(f"p must be >= 1, got {p}")
-    z = _draw_innovations(model, p, path_rng(seed, 0))
-    values = _paths_from_innovations(model, z[np.newaxis, :])[0]
-    return SamplePath(values=values, model=model, seed=seed)
 
 
 def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.ndarray:
-    """Sample `count` independent paths as a (count, p) array.
+    """Sample `count` independent paths as a C-order (count, p) array.
 
-    Row r is drawn from stream (seed, r); row 0 coincides with
-    ``generate_path(model, p, seed)``.
+    Row r is drawn from stream (seed, r) and equals what ``path_rng(seed, r)``
+    yields through ``standard_normal`` (Gaussian models) or
+    ``integers(0, 2)`` (sign models) followed by the model's transform.  One
+    Philox generator serves the whole block: each row re-keys it to
+    (seed, r) with a fresh counter instead of building a new generator.
     """
     if p < 1 or count < 1:
         raise ValueError("p and count must be >= 1")
-    probe = _draw_innovations(model, p, path_rng(seed, 0))
-    block = np.empty((count, probe.size))
-    block[0] = probe
-    for r in range(1, count):
-        block[r] = _draw_innovations(model, p, path_rng(seed, r))
-    return _paths_from_innovations(model, block)
+    width = _innovation_width(model, p)
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    state = bitgen.state
+    key = state["state"]["key"]
+
+    def rekey(r: int) -> None:
+        key[1] = r & _MASK64
+        bitgen.state = state
+
+    if isinstance(model, (RademacherIID, RademacherProductMDS)):
+        # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
+        # draw, low half first, and keeps the top bit of that half: bits 31
+        # and 63 of each word, in that order.
+        words = np.empty((count, (width + 1) // 2), dtype=np.uint64)
+        for r in range(count):
+            rekey(r)
+            words[r] = bitgen.random_raw(words.shape[1])
+        bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
+        bits[:, 0::2] = (words >> 31) & 1
+        bits[:, 1::2] = words >> 63
+        if isinstance(model, RademacherProductMDS):
+            # e_t e_{t+1} = +1 exactly when the two driving bits agree.
+            return 1.0 - 2.0 * (bits[:, : width - 1] ^ bits[:, 1:width])
+        return bits[:, :width] * 2.0 - 1.0
+
+    gen = np.random.Generator(bitgen)
+    block = np.empty((count, width))
+    for r in range(count):
+        rekey(r)
+        gen.standard_normal(out=block[r])
+    if isinstance(model, GaussianAR1):
+        # x_t = rho * x_{t-1} + scale * z_t in place, column by column.  The
+        # products scale * z_t are formed first in one pass; each step then
+        # costs one multiply and one add, with the same rounding.
+        rho = model.rho
+        block[:, 1:] *= math.sqrt(1.0 - rho * rho)
+        columns = iter(block.T)
+        prev = next(columns)
+        lagged = np.empty(count)
+        for col in columns:
+            np.add(np.multiply(prev, rho, out=lagged), col, out=col)
+            prev = col
+        return block
+    c = np.asarray(model.coeffs)
+    out = np.empty((count, p))
+    for r in range(count):
+        out[r] = np.convolve(block[r], c, mode="valid")
+    return out
+
+
+def generate_path(model: CovarianceModel, p: int, seed: int) -> SamplePath:
+    """Sample X_1..X_p from stream (seed, 0): row 0 of ``generate_paths``."""
+    values = generate_paths(model, p, seed, 1)[0]
+    return SamplePath(values=values, model=model, seed=seed)
 
 
 def autocovariance(model: CovarianceModel, lag) -> np.ndarray | float:

@@ -33,9 +33,7 @@ from .models import (
 )
 
 __all__ = [
-    "evaluate",
     "symmetrize",
-    "trace_product",
     "gaussian_exact_variance",
     "VarianceEstimate",
     "mc_variance",
@@ -72,28 +70,10 @@ def _as_vector(a) -> np.ndarray:
     return a
 
 
-def evaluate(x, A) -> float:
-    """x'Ax for a real vector and a square matrix of matching size."""
-    A = _as_square(A)
-    x = _as_vector(x)
-    if x.size != A.shape[0]:
-        raise ValueError(f"dimension mismatch: x has {x.size}, A is {A.shape}")
-    return float(x @ A @ x)
-
-
 def symmetrize(A) -> np.ndarray:
     """(A + A')/2; leaves x'Ax unchanged for every x."""
     A = _as_square(A)
     return (A + A.T) / 2.0
-
-
-def trace_product(A, B) -> float:
-    """tr(AB) without forming the product."""
-    A = _as_square(A)
-    B = _as_square(B)
-    if A.shape != B.shape:
-        raise ValueError("trace_product needs equal shapes")
-    return float(np.sum(A * B.T))
 
 
 def _check_symmetric(S: np.ndarray, rel: float, what: str) -> np.ndarray:

@@ -26,7 +26,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CovarianceModel, autocovariance, covariance_matrix, generate_paths
+from .models import (
+    CovarianceModel,
+    GaussianAR1,
+    GaussianMA,
+    RademacherIID,
+    RademacherProductMDS,
+    autocovariance,
+    covariance_matrix,
+    generate_paths,
+)
 
 __all__ = [
     "ConvergenceError",
@@ -526,6 +535,15 @@ def kolmogorov_distance(esd, cdf) -> float:
     return float(np.max(np.maximum(np.abs(steps_hi - ref), np.abs(steps_lo - ref))))
 
 
+def _is_white_noise(model: CovarianceModel) -> bool:
+    """Whether C(j) = 0 at every lag j != 0, decided from the model itself."""
+    if isinstance(model, GaussianAR1):
+        return model.rho == 0.0
+    if isinstance(model, GaussianMA):
+        return not np.any(autocovariance(model, np.arange(1, model.order + 1)))
+    return isinstance(model, (RademacherIID, RademacherProductMDS))
+
+
 def effective_spectral_model(
     model: CovarianceModel, law: SpectralModel, p_ref: int = 400
 ) -> SpectralModel:
@@ -540,8 +558,7 @@ def effective_spectral_model(
     change with the BLAS thread count, so the atoms of a serially dependent
     model can too.
     """
-    T = covariance_matrix(model, 2)
-    if T[0, 1] == 0.0 and autocovariance(model, np.arange(1, 64)).max() == 0.0:
+    if _is_white_noise(model):
         return law
     T = covariance_matrix(model, p_ref)
     scale = np.sqrt(np.diag(population_sigma(law, p_ref)))

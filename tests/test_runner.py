@@ -3,12 +3,16 @@
 import csv
 import json
 import math
+from pathlib import Path
 
 import pytest
 
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
+
+
+KERNELS = Path(__file__).resolve().parent.parent / "configs" / "kernels"
 
 
 def _config(**overrides) -> str:
@@ -126,6 +130,23 @@ def test_hash_covers_seed_but_not_output_routing():
     assert rerouted.config_hash == base.config_hash
     assert rerouted.out == "x.csv"
     assert rerouted.fmt == "json"
+
+
+def test_hash_covers_kernel_table_contents_not_its_path(tmp_path):
+    table = (KERNELS / "triangle_1024.csv").read_text()
+
+    def hash_of(text, rel):
+        (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / rel).write_text(text)
+        kernel = {"name": "tabulated", "csv": rel}
+        config = json.dumps({"experiment": "kernel_check", "seed": 1, "kernel": kernel})
+        return validate(config, config_dir=tmp_path).config_hash
+
+    base = hash_of(table, "k.csv")
+    assert hash_of(table, "elsewhere/copy.csv") == base
+    edited = table.replace("\n0.5,0.5\n", "\n0.5,0.4999\n")
+    assert edited != table
+    assert hash_of(edited, "k.csv") != base
 
 
 def test_canonical_hash_handles_nesting():
@@ -304,6 +325,45 @@ def test_cli_config_error_is_exit_two(tmp_path, capsys):
     config.write_text(_config(bandwith=1))
     assert cli_main(["quadform_var", "--config", str(config)]) == 2
     assert "bandwith" in capsys.readouterr().err
+
+
+_ESD = {
+    "experiment": "esd",
+    "seed": 1,
+    "model": {"name": "gaussian_ar1", "rho": 0.0},
+    "spectral": {"atoms": [[1.0, 0.5], [3.0, 0.5]], "c": 0.5},
+    "sizes": [[20, 40]],
+}
+
+
+@pytest.mark.parametrize(
+    "experiment, config, key",
+    [
+        ("quadform_var", json.loads(_config(replicates=1)), "replicates"),
+        (
+            "fourth_moment",
+            {
+                "experiment": "fourth_moment",
+                "seed": 1,
+                "model": {"name": "rademacher_iid"},
+                "vector": {"kind": "ones", "p": 2},
+                "replicates": 1,
+            },
+            "replicates",
+        ),
+        (
+            "esd",
+            {**_ESD, "spectral": {"atoms": [[0.0, 0.5], [3.0, 0.5]], "c": 0.5}},
+            "spectral.atoms[0][0]",
+        ),
+        ("esd", {**_ESD, "sizes": [[20, 40], [1, 2]]}, "sizes[1][0]"),
+    ],
+)
+def test_cli_run_preconditions_are_exit_two(tmp_path, capsys, experiment, config, key):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(config))
+    assert cli_main([experiment, "--config", str(path)]) == 2
+    assert f"invalid config: {key}:" in capsys.readouterr().err
 
 
 def test_cli_missing_file_is_exit_two(tmp_path):

@@ -5,7 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadvar.models import GaussianAR1, covariance_matrix, generate_paths
+from quadvar.models import (
+    GaussianAR1,
+    GaussianMA,
+    RademacherIID,
+    RademacherProductMDS,
+    covariance_matrix,
+    generate_paths,
+)
 from quadvar.spectral import (
     ConvergenceError,
     NotPositiveDefiniteError,
@@ -246,6 +253,31 @@ def test_kolmogorov_distance_hits_quantile_floor():
 def test_effective_spectral_model_passes_white_noise_through():
     model = GaussianAR1(rho=0.0)
     assert effective_spectral_model(model, TWO_ATOM) == TWO_ATOM
+
+
+@pytest.mark.parametrize(
+    "model", [GaussianMA(coeffs=(2.0,)), RademacherIID(), RademacherProductMDS()]
+)
+def test_effective_spectral_model_passes_other_white_noise_models_through(model):
+    assert effective_spectral_model(model, TWO_ATOM) == TWO_ATOM
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [
+        (1.0, 0.0, -0.5),  # C(1) = 0 and C(2) = -0.4 < 0
+        (1.0,) + (0.0,) * 68 + (1.0,),  # C(j) = 0 for j < 69, C(69) = 0.5
+    ],
+)
+def test_effective_spectral_model_sees_dependent_moving_averages(coeffs):
+    model = GaussianMA(coeffs=coeffs)
+    p_ref = 100
+    eff = effective_spectral_model(model, TWO_ATOM, p_ref=p_ref)
+    scale = np.sqrt(np.diag(population_sigma(TWO_ATOM, p_ref)))
+    true_cov = scale[:, None] * covariance_matrix(model, p_ref) * scale[None, :]
+    assert len(eff.atoms) == p_ref
+    assert np.allclose(eff.lambdas, np.linalg.eigvalsh(true_cov), atol=1e-12)
+    assert not np.allclose(eff.lambdas, np.diag(population_sigma(TWO_ATOM, p_ref)))
 
 
 def test_effective_spectral_model_widen_under_serial_dependence():
