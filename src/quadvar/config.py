@@ -29,7 +29,7 @@ from .models import (
     RademacherProductMDS,
 )
 from .quadform import gaussian_test_matrix
-from .spectral import SpectralModel
+from .spectral import SpectralModel, _is_white_noise
 
 __all__ = [
     "ConfigError",
@@ -313,7 +313,9 @@ def _build_sweep(section: Any, where: str) -> tuple[tuple[int, float], ...]:
     return tuple(sweep)
 
 
-def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
+def _check_esd(
+    atoms: list, sizes: tuple[tuple[int, int], ...], model, p_ref: int
+) -> None:
     """Conditions the esd run needs that the sections do not check alone."""
     for i, (lam, _) in enumerate(atoms):
         if not lam > 0.0:
@@ -321,6 +323,13 @@ def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
     for i, (p, _) in enumerate(sizes):
         if p < len(atoms):
             raise ConfigError(f"sizes[{i}][0]: p = {p} cannot host {len(atoms)} atoms")
+    # Only a serially dependent model reads p_ref: its limit law is taken
+    # from the covariance realised at that dimension.
+    if p_ref < len(atoms) and not _is_white_noise(model):
+        raise ConfigError(
+            f"p_ref: p_ref = {p_ref} cannot host {len(atoms)} atoms "
+            "for a serially dependent model"
+        )
 
 
 @dataclass(frozen=True)
@@ -476,7 +485,9 @@ def validate(
     if "sweep" in raw:
         kwargs["sweep"] = _build_sweep(raw["sweep"], "sweep")
     if experiment == "esd":
-        _check_esd(raw["spectral"]["atoms"], kwargs["sizes"])
+        _check_esd(
+            raw["spectral"]["atoms"], kwargs["sizes"], kwargs["model"], kwargs.get("p_ref", 400)
+        )
 
     out = raw.get("out")
     if out is not None:

@@ -2,9 +2,7 @@
 
 Each experiment turns a validated config into a list of flat metric records.
 Assertions live inside the records as ``assert_*`` keys valued 0 or 1, so a
-persisted file carries its own pass/fail evidence.  Wall time is tracked on
-the record object for humans but never serialized: emitted files must be
-byte-identical across runs and machines of different speed.
+persisted file carries its own pass/fail evidence.
 """
 
 from __future__ import annotations
@@ -12,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from time import perf_counter
 
 import numpy as np
 
@@ -61,12 +58,11 @@ _BRUTE_FORCE_P = 16
 
 @dataclass(frozen=True)
 class ResultRecord:
-    """One flat metrics row plus provenance; wall time is not serialized."""
+    """One flat metrics row plus provenance."""
 
     experiment: str
     config_hash: str
     metrics: dict
-    wall_time_s: float
 
 
 def assertions_pass(records: list[ResultRecord]) -> bool:
@@ -296,17 +292,10 @@ def run(cfg: ExperimentConfig) -> list[ResultRecord]:
     """Execute one experiment; if the config names an output path, write it."""
     if cfg.experiment not in _DISPATCH:
         raise ValueError(f"unknown experiment {cfg.experiment!r}")
-    start = perf_counter()
     rows = _DISPATCH[cfg.experiment](cfg)
-    wall = perf_counter() - start
     config_hash = cfg.config_hash
     records = [
-        ResultRecord(
-            experiment=cfg.experiment,
-            config_hash=config_hash,
-            metrics=row,
-            wall_time_s=wall,
-        )
+        ResultRecord(experiment=cfg.experiment, config_hash=config_hash, metrics=row)
         for row in rows
     ]
     if cfg.out is not None:

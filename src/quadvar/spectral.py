@@ -8,9 +8,13 @@ of the limit law's Stieltjes fixed-point equation
     m(z) = sum_k w_k / (lambda_k (1 - c - c z m(z)) - z),    Im z > 0,
 
 where the (lambda_k, w_k) atoms describe the limiting population spectrum
-and c is the dimension-to-sample ratio.  Eigenvalues on the sample side come
-from an in-house cyclic Jacobi solver so the empirical route shares no code
-with the oracle route.
+and c is the dimension-to-sample ratio.  One solver serves every limit-law
+route (``limit_stieltjes``, ``density_grid``, ``limit_cdf``): the companion
+iteration v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on
+v = -(1-c)/z + c m, which keeps v in the upper half-plane, with a Newton step
+tried first and kept only where it stays there and lowers |m - F(m)|.
+Eigenvalues on the sample side come from an in-house cyclic Jacobi solver so
+the empirical route shares no code with the oracle route.
 
 When the driving path itself is serially dependent, E[(Gx)(Gx)'] is no longer
 G G'; ``effective_spectral_model`` converts a (model, target) pair into the
@@ -277,100 +281,74 @@ class StieltjesValue:
     iterations: int
 
 
-_DAMPED_BUDGET = 1000
-_GAMMA_FLOOR = 1e-6
-
-
 def _defining_residual(lam, w, c, zs, m):
     """|m - F(m)| for the limit equation, vectorised over the z axis."""
     denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
     return np.abs(m - np.sum(w[:, None] / denom, axis=0))
 
 
-def _damped_phase(lam, w, c, zs, tol, budget):
-    """Damped iteration m <- (1-gamma) m + gamma F(m) from -1/z, gamma = 1/2.
+def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
+    """Solve the limit equation at every z of ``zs`` independently.
 
-    A step that raises the residual |m - F(m)| halves gamma (recovering back
-    towards 1/2 on later decreases); steps that leave the finite domain are
-    discarded like a residual increase.  Each grid point runs independently.
+    Works on the companion variable v = -(1-c)/z + c m, the root of
+    h(v) = v (z - c t(v)) + 1 with t(v) = sum_k w_k lambda_k / (1 + lambda_k v).
+    The companion map v <- -1/(z - c t(v)) sends the upper half-plane into
+    itself, and its fixed point there is the Stieltjes branch (Silverstein &
+    Choi 1995), but near the real axis it contracts only at rate
+    1 - O(Im z).  So each step first tries Newton on h and keeps it only where
+    it is finite, stays in the upper half-plane (Im v > 0, Im m > 0) and
+    lowers the defining residual |m - F(m)|; elsewhere it takes the companion
+    step.  v starts at -1/z, or at the warm start ``m0`` where that lies in
+    the upper half-plane.  A point stops once its residual is <= tol with
+    Im m > 0; its iteration count is the number of steps it took.
+
+    The state kept is m, not v: with D_k = lambda_k (1 - c - c z m) - z,
+    1 + lambda_k v = -D_k / z, so every step is formed from D, and m is never
+    recovered from v, which would cancel (1-c)/z against c m when |z| is
+    small.  The sums over atoms are ufunc reductions, not BLAS calls.
     """
-
-    def fmap(m):
-        denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
-        return np.sum(w[:, None] / denom, axis=0)
-
-    m = -1.0 / zs
-    f_m = fmap(m)
-    residual = np.abs(m - f_m)
-    gamma = np.full(zs.shape, 0.5)
-    iterations = np.zeros(zs.shape, dtype=int)
-    for _ in range(budget):
-        active = residual > tol
-        if not active.any():
-            break
-        candidate = np.where(active, (1.0 - gamma) * m + gamma * f_m, m)
-        f_candidate = fmap(candidate)
-        cand_residual = np.abs(candidate - f_candidate)
-        cand_residual = np.where(np.isfinite(cand_residual), cand_residual, np.inf)
-        worse = active & (cand_residual > residual)
-        gamma = np.where(worse, np.maximum(gamma / 2.0, _GAMMA_FLOOR), gamma)
-        gamma = np.where(active & ~worse, np.minimum(2.0 * gamma, 0.5), gamma)
-        take = active & np.isfinite(cand_residual)
-        m = np.where(take, candidate, m)
-        f_m = np.where(take, f_candidate, f_m)
-        residual = np.where(take, cand_residual, residual)
-        iterations += active
-    return m, residual, iterations
-
-
-def _unfinished(m, residual, tol):
-    """Points still needing work: large residual, or a fixed point off the
-    Stieltjes branch (the defining equation has spurious solutions with
-    Im m <= 0 that the damped form can land on)."""
-    return (residual > tol) | (m.imag <= 0.0)
-
-
-def _companion_phase(lam, w, c, zs, m, residual, tol, budget, check_every=20):
-    """Finish unconverged points through the companion transform.
-
-    v = -(1-c)/z + c m obeys v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)),
-    a map sending the upper half-plane into itself, so plain iteration cannot
-    cycle, and its fixed point is the Stieltjes branch, unlike the damped form,
-    which can hug the real axis or settle on a spurious root.  Progress is
-    still measured by the defining residual |m - F(m)|.
-    """
-    v = -(1.0 - c) / zs + c * m
-    bad = ~np.isfinite(v) | (v.imag <= 0.0)
-    v = np.where(bad, -1.0 / zs, v)
-    iterations = np.zeros(zs.shape, dtype=int)
-    active = _unfinished(m, residual, tol)
-    spent = 0
-    while active.any() and spent < budget:
-        chunk = min(check_every, budget - spent)
-        for _ in range(chunk):
-            tail = np.sum(
-                w[:, None] * lam[:, None] / (1.0 + lam[:, None] * v[None, :]), axis=0
-            )
-            v = np.where(active, -1.0 / (zs - c * tail), v)
-        iterations += active * chunk
-        spent += chunk
-        m_active = (v + (1.0 - c) / zs) / c
-        m = np.where(active, m_active, m)
-        residual = np.where(active, _defining_residual(lam, w, c, zs, m), residual)
-        active = _unfinished(m, residual, tol)
-    return m, residual, iterations
-
-
-def _solve_points(lam, w, c, zs, tol, max_iter):
-    """All-points solve of the limit equation: damped phase, then a companion
-    finish for points that did not converge or converged off the branch."""
     zs = np.asarray(zs, dtype=complex)
-    m, residual, iters1 = _damped_phase(lam, w, c, zs, tol, min(_DAMPED_BUDGET, max_iter))
-    left = max_iter - int(iters1.max())
-    if left > 0 and bool(_unfinished(m, residual, tol).any()):
-        m, residual, iters2 = _companion_phase(lam, w, c, zs, m, residual, tol, left)
-        iters1 = iters1 + iters2
-    return m, residual, iters1
+    m = -1.0 / zs
+    if m0 is not None:
+        m0 = np.asarray(m0, dtype=complex)
+        v0 = c * m0 - (1.0 - c) / zs
+        m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
+    residual = _defining_residual(lam, w, c, zs, m)
+    iterations = np.zeros(zs.shape, dtype=int)
+    lam_col = lam[:, None]
+    w_lam = (w * lam)[:, None]
+    w_lam2 = (w * lam * lam)[:, None]
+    for _ in range(max_iter):
+        todo = np.flatnonzero((residual > tol) | (m.imag <= 0.0))
+        if todo.size == 0:
+            break
+        z, mt = zs[todo], m[todo]
+        a = 1.0 - c - c * z * mt  # = -z v
+        inv = 1.0 / (lam_col * a[None, :] - z[None, :])  # = -1 / (z (1 + lambda v))
+        s1 = np.sum(w_lam * inv, axis=0)  # t = -z s1
+        s2 = np.sum(w_lam2 * inv * inv, axis=0)  # t' = -z^2 s2
+        del inv  # the residuals below allocate blocks of the same atoms x points size
+        g = 1.0 + c * s1  # z - c t = z g
+        h = 1.0 - a * g  # h = v (z - c t) + 1
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = h / (c * z * (g - c * a * s2))  # h / (c h'), h' = z (g - c a s2)
+            m_newton = mt - step
+            v_newton = c * m_newton - (1.0 - c) / z
+            res_newton = _defining_residual(lam, w, c, z, m_newton)
+        newton = (
+            (v_newton.imag > 0.0)
+            & (m_newton.imag > 0.0)
+            & np.isfinite(res_newton)
+            & (res_newton < residual[todo])
+        )
+        # companion step v <- -1/(z g), mapped back to m without cancellation
+        m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
+        m[todo] = np.where(newton, m_newton, m_companion)
+        residual[todo] = np.where(
+            newton, res_newton, _defining_residual(lam, w, c, z, m_companion)
+        )
+        iterations[todo] += 1
+    return m, residual, iterations
 
 
 def limit_stieltjes(
@@ -378,11 +356,15 @@ def limit_stieltjes(
 ) -> StieltjesValue:
     """Solve the limit-law fixed point at one z.
 
-    Runs the damped iteration from -1/z (damping 1/2, halved whenever a step
-    raises the residual |m - F(m)|).  Near the real axis inside the bulk that
-    recursion stalls, so leftover budget goes to the companion-transform form
-    of the same equation, which iterates stably there.  Convergence requires
-    the defining residual <= tol and Im m > 0 (the Stieltjes branch).
+    Starts at m = -1/z and runs the companion iteration on
+    v = -(1-c)/z + c m, taking a Newton step instead wherever that step stays
+    in the upper half-plane and lowers the defining residual |m - F(m)|.
+    ``iterations`` counts those steps, Newton or companion.  Convergence
+    requires the defining residual <= tol and Im m > 0 (the Stieltjes
+    branch).  For c > 1 with |z| near 0.01 or below, |m| ~ (1 - 1/c)/|z| and
+    the residual evaluated in double precision can exceed 1e-12 even at the
+    correctly rounded root (c = 3, two atoms {1, 2}, z = 0.01i: 1.35e-12), so
+    the default tol raises ConvergenceError there.
     """
     z = _require_upper_half(z)
     zs = np.array([z], dtype=complex)
@@ -431,10 +413,11 @@ def density_from_stieltjes(
     tol: float = 1e-10,
     max_iter: int = 200000,
 ) -> float:
-    """Smoothed spectral density Im m(x + i*epsilon) / pi.
+    """Smoothed spectral density Im m(x + i*epsilon) / pi, solved by
+    ``limit_stieltjes``.
 
-    The fixed point contracts at rate 1 - O(epsilon) inside the bulk, hence
-    the much larger default iteration budget than ``limit_stieltjes`` alone.
+    The companion map alone contracts at rate 1 - O(epsilon) inside the bulk;
+    the Newton steps take over there, and the budget is a ceiling.
     """
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
@@ -474,7 +457,8 @@ def limit_cdf(
 ):
     """Numeric CDF of the limit law, as a callable usable for distances.
 
-    Solves the grid at heights 2*epsilon and epsilon (the coarse solution
+    Solves the grid at heights 2*epsilon and epsilon with the same
+    companion-plus-Newton solver as ``limit_stieltjes`` (the coarse solution
     warm-starts the fine one) and extrapolates the smoothing away: the
     half-plane kernel is even in the height, so Im m carries an O(epsilon^2)
     error that (4 m_eps - m_2eps)/3 cancels.  The density is then integrated
@@ -494,9 +478,8 @@ def limit_cdf(
     tol = 1e-8
     budget = 200000
     m_coarse, res_c, _ = _solve_points(lam, w, law.c, xs + 2j * epsilon, tol, budget)
-    m_fine, res_f, _ = _companion_phase(
-        lam, w, law.c, xs + 1j * epsilon,
-        m_coarse, np.full(xs.shape, np.inf), tol, budget,
+    m_fine, res_f, _ = _solve_points(
+        lam, w, law.c, xs + 1j * epsilon, tol, budget, m0=m_coarse
     )
     worst = float(max(res_c.max(), res_f.max()))
     if worst > tol:

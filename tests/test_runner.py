@@ -215,8 +215,8 @@ def test_failed_assertion_is_recorded_not_raised():
 
 def _toy_records() -> list[ResultRecord]:
     return [
-        ResultRecord("demo", "abc123", {"n": 2, "value": 0.1, "q": math.inf, "name": "a,b"}, 0.0),
-        ResultRecord("demo", "abc123", {"n": 3, "value": -0.2, "q": math.inf, "name": 'say "hi"'}, 0.0),
+        ResultRecord("demo", "abc123", {"n": 2, "value": 0.1, "q": math.inf, "name": "a,b"}),
+        ResultRecord("demo", "abc123", {"n": 3, "value": -0.2, "q": math.inf, "name": 'say "hi"'}),
     ]
 
 
@@ -247,7 +247,7 @@ def test_emit_is_byte_stable(tmp_path):
 
 
 def test_emit_json_round_trips_doubles(tmp_path):
-    records = [ResultRecord("demo", "h", {"x": 0.1 + 0.2, "k": 3}, 0.0)]
+    records = [ResultRecord("demo", "h", {"x": 0.1 + 0.2, "k": 3})]
     path = tmp_path / "out.json"
     emit(records, "json", path)
     parsed = json.loads(path.read_text())
@@ -274,8 +274,8 @@ def test_emit_rejects_empty_and_ragged(tmp_path):
     with pytest.raises(ValueError):
         emit([], "csv", tmp_path / "x.csv")
     ragged = [
-        ResultRecord("demo", "h", {"a": 1}, 0.0),
-        ResultRecord("demo", "h", {"b": 2}, 0.0),
+        ResultRecord("demo", "h", {"a": 1}),
+        ResultRecord("demo", "h", {"b": 2}),
     ]
     with pytest.raises(ValueError):
         emit(ragged, "csv", tmp_path / "x.csv")
@@ -283,7 +283,6 @@ def test_emit_rejects_empty_and_ragged(tmp_path):
 
 def test_wall_time_is_tracked_but_not_serialized(tmp_path):
     records = run(validate(_config(replicates=1000)))
-    assert records[0].wall_time_s > 0.0
     path = tmp_path / "out.csv"
     emit(records, "csv", path)
     header = path.read_text().splitlines()[0]
@@ -335,6 +334,13 @@ _ESD = {
     "sizes": [[20, 40]],
 }
 
+# p_ref below the atom count: only a serially dependent model reads it.
+_ESD_THREE_ATOMS = {
+    **_ESD,
+    "spectral": {"atoms": [[1.0, 0.25], [2.0, 0.25], [3.0, 0.5]], "c": 0.5},
+    "p_ref": 2,
+}
+
 
 @pytest.mark.parametrize(
     "experiment, config, key",
@@ -357,6 +363,7 @@ _ESD = {
             "spectral.atoms[0][0]",
         ),
         ("esd", {**_ESD, "sizes": [[20, 40], [1, 2]]}, "sizes[1][0]"),
+        ("esd", {**_ESD_THREE_ATOMS, "model": {"name": "gaussian_ar1", "rho": 0.5}}, "p_ref"),
     ],
 )
 def test_cli_run_preconditions_are_exit_two(tmp_path, capsys, experiment, config, key):
@@ -364,6 +371,14 @@ def test_cli_run_preconditions_are_exit_two(tmp_path, capsys, experiment, config
     path.write_text(json.dumps(config))
     assert cli_main([experiment, "--config", str(path)]) == 2
     assert f"invalid config: {key}:" in capsys.readouterr().err
+
+
+def test_cli_white_noise_esd_ignores_p_ref_below_atom_count(tmp_path):
+    path = tmp_path / "white.json"
+    path.write_text(json.dumps(_ESD_THREE_ATOMS))
+    out = tmp_path / "records.csv"
+    assert cli_main(["esd", "--config", str(path), "--out", str(out)]) == 0
+    assert out.exists()
 
 
 def test_cli_missing_file_is_exit_two(tmp_path):

@@ -1,9 +1,12 @@
 """Spectral limits: fixed-point solver, in-house eigensolver, limit CDF."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.polynomial import Polynomial
 
 from quadvar.models import (
     GaussianAR1,
@@ -17,6 +20,7 @@ from quadvar.spectral import (
     ConvergenceError,
     NotPositiveDefiniteError,
     SpectralModel,
+    _defining_residual,
     cholesky,
     density_from_stieltjes,
     density_grid,
@@ -173,9 +177,77 @@ def test_limit_stieltjes_is_herglotz_on_two_atom_models(lam2, c, x):
     assert sv.residual <= 1e-12
 
 
+def _two_atom_root(lam2: float, c: float, z: complex) -> complex:
+    """Independent oracle for the law {1, lam2} with weights 1/2 each.
+
+    With a = 1 - c - c z m and D_k = lambda_k a - z, the limit equation times
+    D_1 D_2 is the cubic m D_1 D_2 - (D_1 + D_2)/2 = 0.  The Stieltjes value is
+    its one root with Im m > 0 whose companion v = -(1-c)/z + c m also has
+    positive imaginary part.  A root whose Im m or Im v is within rounding of
+    zero is no candidate: at lam2 = 1 the cubic gains the root D_1 = D_2 = 0,
+    a pole of the equation that lies on the real axis.
+    """
+    a = Polynomial([1.0 - c, -c * z])
+    d1, d2 = a - z, lam2 * a - z
+    cubic = Polynomial([0.0, 1.0]) * d1 * d2 - 0.5 * (d1 + d2)
+    roots = []
+    for m in cubic.roots():
+        v = c * m - (1.0 - c) / z
+        if m.imag > 1e-9 * abs(m) and v.imag > 1e-9 * abs(v):
+            roots.append(complex(m))
+    assert len(roots) == 1, roots
+    # Newton on the cubic in extended precision, evaluated from its factors,
+    # refines the root below double-precision rounding.
+    m, z_l = np.clongdouble(roots[0]), np.clongdouble(z)
+    lam2_l, c_l = np.longdouble(lam2), np.longdouble(c)
+    for _ in range(3):
+        a = 1 - c_l - c_l * z_l * m
+        d1, d2 = a - z_l, lam2_l * a - z_l
+        d1_m, d2_m = -c_l * z_l, -lam2_l * c_l * z_l
+        value = m * d1 * d2 - (d1 + d2) / 2
+        slope = d1 * d2 + m * (d1_m * d2 + d1 * d2_m) - (d1_m + d2_m) / 2
+        m = m - value / slope
+    return complex(m)
+
+
+@pytest.mark.parametrize(
+    "c_max, log10_height_min",
+    [(1.0, -3.0), (3.0, -2.0)],
+    ids=["c_le_1_height_1e-3", "c_le_3_height_1e-2"],
+)
+@given(
+    lam2=st.floats(min_value=0.5, max_value=5.0),
+    c_frac=st.floats(min_value=0.0, max_value=1.0),
+    x=st.floats(min_value=-2.0, max_value=8.0),
+    h_frac=st.floats(min_value=0.0, max_value=1.0),
+)
+@settings(max_examples=150, deadline=None)
+def test_limit_stieltjes_matches_cubic_root_on_two_atom_models(
+    c_max, log10_height_min, lam2, c_frac, x, h_frac
+):
+    """The solver agrees with the polynomial root, meets tol = 1e-12, and
+    stays within 100 steps even at heights down to 1e-3.
+
+    Where even the correctly rounded root has a defining residual above
+    tol / 2 in double precision, no solver can certify tol; that happens for
+    c > 1 next to the origin (c = 3, lam2 = 2, z = 0.01i: 1.35e-12 at best),
+    and those points are left out.
+    """
+    c = 0.1 + (c_max - 0.1) * c_frac
+    z = complex(x, 10.0 ** (log10_height_min * (1.0 - h_frac)))
+    root = _two_atom_root(lam2, c, z)
+    lam, w = np.array([1.0, lam2]), np.array([0.5, 0.5])
+    assume(_defining_residual(lam, w, c, np.array([z]), np.array([root]))[0] <= 0.5e-12)
+    sv = limit_stieltjes(SpectralModel(atoms=((1.0, 0.5), (lam2, 0.5)), c=c), z)
+    assert abs(sv.m - root) <= 1e-10 * max(1.0, abs(root))
+    assert sv.residual <= 1e-12
+    assert sv.iterations <= 100
+
+
 def test_limit_stieltjes_recovers_from_spurious_damped_root():
-    """At c=3, z=0.7i the damped iteration settles on a fixed point with
-    Im m < 0; the companion finish must replace it with the true branch."""
+    """At c=3, z=0.7i the defining equation has a fixed point with Im m < 0
+    that a damped iteration of m <- F(m) settles on; the solver must return
+    the Stieltjes branch instead."""
     law = SpectralModel(atoms=((1.0, 0.5), (2.0, 0.5)), c=3.0)
     sv = limit_stieltjes(law, 0.7j)
     assert sv.residual <= 1e-12
@@ -224,6 +296,32 @@ def test_limit_cdf_places_point_mass_at_zero_when_c_exceeds_one():
     cdf = limit_cdf(SpectralModel(atoms=((1.0, 1.0),), c=2.0))
     assert cdf(0.02) >= 0.45  # mass 1 - 1/c = 0.5 sits at the origin
     assert cdf(0.02) <= 0.55
+
+
+def _marchenko_pastur_cdf(c: float, xs: np.ndarray) -> np.ndarray:
+    """CDF of the unit-atom law at c < 1, by fine quadrature of its density.
+
+    Under x = (a+b)/2 + (b-a)/2 cos(theta) the density
+    sqrt((b-x)(x-a)) / (2 pi c x) times dx/dtheta is smooth on [0, pi].
+    """
+    a, b = (1.0 - math.sqrt(c)) ** 2, (1.0 + math.sqrt(c)) ** 2
+    theta = np.linspace(0.0, math.pi, 200001)
+    x = (a + b) / 2.0 + (b - a) / 2.0 * np.cos(theta)
+    integrand = ((b - a) / 2.0) ** 2 * np.sin(theta) ** 2 / (2.0 * math.pi * c * x)
+    pieces = np.diff(theta) * (integrand[1:] + integrand[:-1]) / 2.0
+    tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])  # mass in [a, x]
+    assert tail[0] == pytest.approx(1.0, abs=1e-9)
+    query = np.arccos(np.clip((2.0 * xs - a - b) / (b - a), -1.0, 1.0))
+    return np.interp(query, theta, tail)
+
+
+@pytest.mark.parametrize("c", [0.1, 0.25, 0.5])
+def test_limit_cdf_matches_marchenko_pastur_cdf(c):
+    """c = 1 is left out: its hard edge at 0 puts the sup distance at 0.024."""
+    a, b = (1.0 - math.sqrt(c)) ** 2, (1.0 + math.sqrt(c)) ** 2
+    xs = np.linspace(a, b, 2001)
+    cdf = limit_cdf(SpectralModel(atoms=((1.0, 1.0),), c=c))
+    assert np.max(np.abs(cdf(xs) - _marchenko_pastur_cdf(c, xs))) <= 3e-3
 
 
 def test_limit_cdf_rejects_nonpositive_atoms():
