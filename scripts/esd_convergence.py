@@ -17,10 +17,10 @@ from quadvar.models import GaussianAR1
 from quadvar.spectral import (
     SpectralModel,
     effective_spectral_model,
-    jacobi_eigenvalues,
     kolmogorov_distance,
     limit_cdf,
     sample_covariance_matrix,
+    symmetric_eigenvalues,
 )
 
 
@@ -46,7 +46,7 @@ def main() -> int:
         n = int(round(p / args.c))
         start = time.perf_counter()
         S = sample_covariance_matrix(model, law, p, n, args.seed)
-        ks = kolmogorov_distance(jacobi_eigenvalues(S), cdf)
+        ks = kolmogorov_distance(symmetric_eigenvalues(S), cdf)
         elapsed = time.perf_counter() - start
         marker = ""
         if previous is not None and ks >= previous:

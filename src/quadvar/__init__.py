@@ -65,7 +65,6 @@ from .spectral import (
     density_grid,
     effective_spectral_model,
     empirical_stieltjes,
-    jacobi_eigenvalues,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,
@@ -73,6 +72,7 @@ from .spectral import (
     population_sigma,
     sample_covariance_matrix,
     scaled_paths,
+    symmetric_eigenvalues,
 )
 
 __version__ = "0.1.0"

@@ -43,12 +43,12 @@ from .quadform import (
 )
 from .spectral import (
     effective_spectral_model,
-    jacobi_eigenvalues,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,
     mp_stieltjes,
     sample_covariance_matrix,
+    symmetric_eigenvalues,
 )
 
 __all__ = ["ResultRecord", "run", "emit", "assertions_pass"]
@@ -174,7 +174,7 @@ def _run_esd(cfg: ExperimentConfig) -> list[dict]:
     rows = []
     for p, n in cfg.sizes:
         S = sample_covariance_matrix(cfg.model, cfg.spectral, p, n, cfg.seed)
-        esd = jacobi_eigenvalues(S)
+        esd = symmetric_eigenvalues(S)
         trace_error = abs(float(np.sum(esd)) - float(np.trace(S)))
         trace_error /= max(1.0, abs(float(np.trace(S))))
         ks = kolmogorov_distance(esd, cdf)

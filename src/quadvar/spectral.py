@@ -13,8 +13,11 @@ route (``limit_stieltjes``, ``density_grid``, ``limit_cdf``): the companion
 iteration v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on
 v = -(1-c)/z + c m, which keeps v in the upper half-plane, with a Newton step
 tried first and kept only where it stays there and lowers |m - F(m)|.
-Eigenvalues on the sample side come from an in-house cyclic Jacobi solver so
-the empirical route shares no code with the oracle route.
+Eigenvalues come from one in-house route, Householder tridiagonalisation
+followed by Sturm-count bisection, built from ufunc reductions so that no
+BLAS thread count can change their bits.  The sample side (``esd``) and the
+reference atoms of ``effective_spectral_model`` share it; LAPACK is its
+oracle in the tests, never on the emitted path.
 
 When the driving path itself is serially dependent, E[(Gx)(Gx)'] is no longer
 G G'; ``effective_spectral_model`` converts a (model, target) pair into the
@@ -50,7 +53,7 @@ __all__ = [
     "cholesky",
     "scaled_paths",
     "sample_covariance_matrix",
-    "jacobi_eigenvalues",
+    "symmetric_eigenvalues",
     "empirical_stieltjes",
     "limit_stieltjes",
     "mp_stieltjes",
@@ -184,75 +187,123 @@ def sample_covariance_matrix(
     return np.array([(y * Y).sum(axis=1) for y in Y]) / n
 
 
-def jacobi_eigenvalues(
-    S, tol: float = 1e-10, max_sweeps: int = 100, return_vectors: bool = False
-):
-    """All eigenvalues of a symmetric matrix by cyclic Jacobi rotations.
+def _binary_exponent(a) -> int:
+    """The exponent k with max |a| in [2**(k-1), 2**k); 0 for an all-zero a."""
+    return math.frexp(float(np.abs(a).max()))[1]
 
-    Sweeps row by row, annihilating each off-diagonal entry, until the
-    off-diagonal Frobenius norm falls below tol (relative to the input norm,
-    with a unit floor).  Returns eigenvalues ascending; with
-    ``return_vectors`` also the orthogonal V such that S = V diag(vals) V'.
+
+def _tridiagonalise(S) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal d and subdiagonal e of a tridiagonal T similar to symmetric S.
+
+    Householder reduction (Golub & Van Loan, Matrix Computations, 8.3.1):
+    step k reflects the column below the diagonal of the trailing block B
+    onto its first axis and updates B <- B - v q' - q v'.  The product B v
+    and the inner products are ufunc reductions and the rank-2 update is
+    elementwise, never BLAS, so the bits do not depend on the thread count;
+    v q' + q v' is summed before it is subtracted, so B stays exactly
+    symmetric.  A zero column needs no reflection and leaves e[k] = 0.  The
+    reduction runs on S scaled by a power of two to a largest entry in
+    [1/2, 1), so no sum of squares overflows or underflows.
     """
-    A = np.array(S, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    norm = float(np.linalg.norm(A))
-    if np.linalg.norm(A - A.T) > 1e-10 * max(1.0, norm):
-        raise ValueError("Jacobi needs a symmetric matrix")
-    p = A.shape[0]
-    V = np.eye(p) if return_vectors else None
-    threshold = tol * max(1.0, norm)
-    skip = threshold / max(10.0 * p, 10.0)
-    converged = False
-    for _ in range(max_sweeps):
-        off = A - np.diag(np.diag(A))
-        if float(np.linalg.norm(off)) <= threshold:
-            converged = True
-            break
-        for i in range(p - 1):
-            for j in range(i + 1, p):
-                aij = A[i, j]
-                if abs(aij) <= skip:
-                    continue
-                app, aqq = A[i, i], A[j, j]
-                tau = (aqq - app) / (2.0 * aij)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = 1.0 / (tau - math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                row_i = A[i, :].copy()
-                row_j = A[j, :].copy()
-                A[i, :] = c * row_i - s * row_j
-                A[j, :] = s * row_i + c * row_j
-                col_i = A[:, i].copy()
-                col_j = A[:, j].copy()
-                A[:, i] = c * col_i - s * col_j
-                A[:, j] = s * col_i + c * col_j
-                A[i, i] = app - t * aij
-                A[j, j] = aqq + t * aij
-                A[i, j] = 0.0
-                A[j, i] = 0.0
-                if V is not None:
-                    v_i = V[:, i].copy()
-                    v_j = V[:, j].copy()
-                    V[:, i] = c * v_i - s * v_j
-                    V[:, j] = s * v_i + c * v_j
-    else:
-        converged = False
-    if not converged:
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
-        if off > threshold:
-            raise ConvergenceError(
-                f"Jacobi failed to converge in {max_sweeps} sweeps (off-norm {off:.3e})"
-            )
-    vals = np.diag(A).copy()
-    order = np.argsort(vals, kind="stable")
-    if V is not None:
-        return vals[order], V[:, order]
-    return vals[order]
+    B = np.asarray(S, dtype=float)
+    shift = _binary_exponent(B)
+    B = np.ldexp(B, -shift)
+    p = B.shape[0]
+    d = np.empty(p)
+    e = np.zeros(p - 1)
+    for k in range(p - 2):
+        d[k] = B[0, 0]
+        x = B[1:, 0]
+        B = B[1:, 1:]
+        sigma = math.sqrt(float((x * x).sum()))
+        if sigma == 0.0:
+            continue
+        alpha = -math.copysign(sigma, x[0])
+        v = x.copy()
+        v[0] -= alpha
+        beta = 1.0 / (sigma * (sigma + abs(float(x[0]))))  # 2 / (v'v)
+        w = beta * (B * v).sum(axis=1)
+        q = w - (0.5 * beta * float((v * w).sum())) * v
+        B = B - (np.multiply.outer(v, q) + np.multiply.outer(q, v))
+        e[k] = alpha
+    m = B.shape[0]  # the last min(p, 2) rows are tridiagonal already
+    d[p - m :] = np.diag(B)
+    e[p - m :] = B[1:, 0]
+    return np.ldexp(d, shift), np.ldexp(e, shift)
+
+
+def _sturm_eigenvalues(d, e) -> tuple[np.ndarray, int]:
+    """Eigenvalues (ascending) of the tridiagonal (d, e), and the bisection steps.
+
+    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967), vectorised over all p eigenvalues: interval j holds the j-th
+    smallest one, and each step counts the eigenvalues at or below every
+    midpoint with the LDL' pivot recurrence, a pivot within ``pivmin`` (the
+    smallest normal number) of zero being pushed to -pivmin as in LAPACK
+    dstebz.  Every interval starts
+    at the widened Gershgorin bounds and stops at the absolute width
+    eps * ||T||, so all take the same number of steps, about 53 whatever the
+    spectrum; a zero eigenvalue of a rank-deficient matrix stops as soon as
+    the rest.  Like the reduction it works on (d, e) scaled by a power of
+    two, to a largest entry in [1/2, 1).
+    """
+    p = d.size
+    shift = _binary_exponent(np.concatenate([d, e]))
+    d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
+    e2 = e * e
+    radius = np.zeros(p)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lower, upper = float((d - radius).min()), float((d + radius).max())
+    norm = max(abs(lower), abs(upper))
+    eps = np.finfo(float).eps
+    pivmin = np.finfo(float).tiny
+    slack = 2.1 * (eps * norm * p + 2.0 * pivmin)
+    lower, upper = lower - slack, upper + slack
+    steps = math.ceil(math.log2((upper - lower) / max(eps * norm, pivmin)))
+    lo, hi = np.full(p, lower), np.full(p, upper)
+    index = np.arange(p)
+    count = np.empty(p, dtype=np.intp)
+    below = np.empty(p, dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        shifted = d[:, None] - mid[None, :]
+        pivot = shifted[0].copy()
+        np.less_equal(pivot, pivmin, out=below)
+        np.minimum(pivot, -pivmin, out=pivot, where=below)
+        count[:] = below
+        for i in range(1, p):
+            pivot = shifted[i] - e2[i - 1] / pivot
+            np.less_equal(pivot, pivmin, out=below)
+            np.minimum(pivot, -pivmin, out=pivot, where=below)
+            count += below
+        right = count > index
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+    return np.ldexp(np.sort(0.5 * (lo + hi)), shift), steps
+
+
+def symmetric_eigenvalues(S) -> np.ndarray:
+    """All eigenvalues of a real symmetric matrix, ascending.
+
+    Householder tridiagonalisation followed by Sturm-count bisection, with
+    no BLAS or LAPACK call, so the result does not depend on the BLAS thread
+    count.  Each eigenvalue is within a small multiple of p * eps * ||S||_F
+    of the exact one; LAPACK ``eigvalsh`` is the test oracle.
+    """
+    A = np.asarray(S, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("matrix entries must be finite")
+    if float(np.abs(A - A.T).max()) > 1e-10 * float(np.abs(A).max()):
+        raise ValueError("eigenvalues need a symmetric matrix")
+    return _sturm_eigenvalues(*_tridiagonalise(A))[0]
+
+
+# bench/tracer.py traces the eigen route under this name (its spectral.eigen
+# layer); the alias goes away with the next change to the benchmark.
+jacobi_eigenvalues = symmetric_eigenvalues
 
 
 def _require_upper_half(z: complex) -> complex:
@@ -535,18 +586,17 @@ def effective_spectral_model(
     Columns G x with a serially dependent x have covariance G T G' (T the
     model's Toeplitz autocovariance), not G G'.  For white-noise models the
     input law is returned unchanged; otherwise the spectrum of G T G' at a
-    reference dimension supplies the atoms.  The reference eigenvalues come
-    from LAPACK on purpose: the empirical side uses the in-house Jacobi
-    solver and the two routes should not share code.  LAPACK's last bits can
-    change with the BLAS thread count, so the atoms of a serially dependent
-    model can too.
+    reference dimension supplies the atoms.  They come from the same eigen
+    route as the sample side, called through its private helpers so that a
+    trace of ``symmetric_eigenvalues`` counts only sample matrices; like the
+    rest of the emitted path they do not depend on the BLAS thread count.
     """
     if _is_white_noise(model):
         return law
     T = covariance_matrix(model, p_ref)
     scale = np.sqrt(np.diag(population_sigma(law, p_ref)))
     true_cov = scale[:, None] * T * scale[None, :]
-    vals = np.linalg.eigvalsh((true_cov + true_cov.T) / 2.0)
+    vals, _ = _sturm_eigenvalues(*_tridiagonalise((true_cov + true_cov.T) / 2.0))
     vals = np.clip(vals, 0.0, None)
     weight = np.full(p_ref, 1.0 / p_ref)
     weight /= weight.sum()

@@ -57,12 +57,12 @@ from quadvar.spectral import (
     density_from_stieltjes,
     density_grid,
     effective_spectral_model,
-    jacobi_eigenvalues,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,
     mp_stieltjes,
     sample_covariance_matrix,
+    symmetric_eigenvalues,
 )
 
 REPO = Path(__file__).resolve().parent.parent
@@ -260,7 +260,7 @@ def _ks_ladder(law: SpectralModel, seed: int) -> list[float]:
     distances = []
     for p in (50, 100, 200):
         S = sample_covariance_matrix(model, law, p, 2 * p, seed)
-        distances.append(kolmogorov_distance(jacobi_eigenvalues(S), cdf))
+        distances.append(kolmogorov_distance(symmetric_eigenvalues(S), cdf))
     return distances
 
 
@@ -509,6 +509,14 @@ CROSS_THREAD_CONFIGS = {
         "model": {"name": "gaussian_ar1", "rho": 0.0},
         "spectral": {"atoms": [[1.0, 0.5], [3.0, 0.5]], "c": 0.5},
         "sizes": [[100, 200], [200, 400]],
+    },
+    # the reference atoms of effective_spectral_model at p_ref = 400
+    "esd_ar1": {
+        "experiment": "esd",
+        "seed": 4,
+        "model": {"name": "gaussian_ar1", "rho": 0.5},
+        "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
+        "sizes": [[60, 120]],
     },
 }
 
