@@ -4,18 +4,30 @@
 Exit status is 0 only if every config's in-record assertions pass, which
 makes this script usable as a cheap end-to-end check:
 
-    python scripts/run_all_configs.py [--configs DIR] [--out DIR]
+    python scripts/run_all_configs.py [--configs DIR] [--out DIR] [--check DIR]
+
+With ``--check DIR`` each config's CSV is also compared by sha256 with the
+file of the same name in DIR (as an earlier ``--out DIR`` wrote it), and any
+difference or missing file makes the exit status 1: run it with ``--out``
+on one version of the code and with ``--check`` on another to show that a
+change keeps every emitted byte.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 from quadvar.config import load_config
 from quadvar.runner import assertions_pass, emit, run
+
+
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def main() -> int:
@@ -29,6 +41,12 @@ def main() -> int:
     parser.add_argument(
         "--out", type=Path, default=None, help="also write <name>.csv per config here"
     )
+    parser.add_argument(
+        "--check",
+        type=Path,
+        default=None,
+        help="compare each <name>.csv with the file of that name here by sha256",
+    )
     args = parser.parse_args()
 
     paths = sorted(args.configs.glob("*.json"))
@@ -37,20 +55,32 @@ def main() -> int:
         return 2
 
     failures = 0
-    for path in paths:
-        start = time.perf_counter()
-        cfg = load_config(path)
-        records = run(cfg)
-        elapsed = time.perf_counter() - start
-        ok = assertions_pass(records)
-        failures += 0 if ok else 1
-        print(
-            f"{path.name:32s} {cfg.experiment:16s} "
-            f"{len(records):3d} record(s)  {elapsed:6.2f}s  {'pass' if ok else 'FAIL'}"
-        )
-        if args.out is not None:
-            args.out.mkdir(parents=True, exist_ok=True)
-            emit(records, "csv", args.out / (path.stem + ".csv"))
+    with tempfile.TemporaryDirectory() as scratch:
+        out = args.out if args.out is not None else Path(scratch)
+        for path in paths:
+            start = time.perf_counter()
+            cfg = load_config(path)
+            records = run(cfg)
+            elapsed = time.perf_counter() - start
+            ok = assertions_pass(records)
+            status = "pass" if ok else "FAIL"
+            if args.out is not None or args.check is not None:
+                out.mkdir(parents=True, exist_ok=True)
+                emitted = out / (path.stem + ".csv")
+                emit(records, "csv", emitted)
+            if args.check is not None:
+                reference = args.check / emitted.name
+                if not reference.is_file():
+                    ok, status = False, f"{status}  MISSING {reference}"
+                elif _sha256(reference) != _sha256(emitted):
+                    ok, status = False, f"{status}  BYTES DIFFER from {reference}"
+                else:
+                    status = f"{status}  same bytes"
+            failures += 0 if ok else 1
+            print(
+                f"{path.name:32s} {cfg.experiment:16s} "
+                f"{len(records):3d} record(s)  {elapsed:6.2f}s  {status}"
+            )
     return 0 if failures == 0 else 1
 
 

@@ -57,10 +57,8 @@ from .quadform import (
 from .runner import ResultRecord, assertions_pass, emit, run
 from .spectral import (
     ConvergenceError,
-    NotPositiveDefiniteError,
     SpectralModel,
     StieltjesValue,
-    cholesky,
     density_from_stieltjes,
     density_grid,
     effective_spectral_model,

@@ -141,6 +141,133 @@ def _innovation_width(model: CovarianceModel, p: int) -> int:
     raise TypeError(f"unknown model {model!r}")
 
 
+# Values one step of the segmented AR(1) scan advances at most.  A step
+# touches one cache line per value, so fewer values per step cost more loop
+# steps, and more spill the lines a step revisits out of cache; on 100 x
+# 32 000 blocks about 2 000 a step ran fastest at rho = 0.3, 0.5 and 0.9.
+_SCAN_VALUES = 2048
+
+
+def _warmup_length(rho: float, bound: float) -> int:
+    """Steps after which two runs of the AR(1) step from -bound and +bound
+    meet bit for bit, failing for about one start in 2**33.
+
+    Their gap shrinks from 2 * bound by |rho| a step.  Over 3e6 starts each
+    at rho = 0.1, 0.5 and 0.9, the share still apart once
+    |rho|**steps * bound = 2**-b fell about as 2**(55 - b); b = 88 here.
+    """
+    if rho == 0.0:
+        return 1
+    return math.ceil((88.0 + math.log2(bound)) / -math.log2(abs(rho)))
+
+
+def _columns(x: np.ndarray, first: int, steps: int, seg: int, n: int) -> np.ndarray:
+    """The view v with v[t][k] = x[:, first + t + k * seg] for k < n: step t
+    of a scan over n segments of ``seg`` columns as one (n, rows) array, or
+    as a (rows,) array for one segment, which numpy loops over faster."""
+    if first + steps - 1 + (n - 1) * seg >= x.shape[1]:
+        raise IndexError("segments run past the last column")
+    row, col = x.strides
+    if n == 1:
+        shape, strides = (steps, x.shape[0]), (col, row)
+    else:
+        shape, strides = (steps, n, x.shape[0]), (col, seg * col, row)
+    return np.lib.stride_tricks.as_strided(x[:, first:], shape=shape, strides=strides)
+
+
+def _ar1_scan(x: np.ndarray, rho: float, seg: int, starts: np.ndarray | None = None) -> None:
+    """x[:, t] = fl(fl(rho * x[:, t-1]) + x[:, t]) in place, for t >= 1.
+
+    The columns are cut into segments of ``seg``, the last one maybe
+    shorter; step t advances column t of every segment at once, so the loop
+    takes ``seg`` steps.  ``starts`` holds the values the later segments
+    start from, x[:, k * seg - 1] for k >= 1, shaped as one step over those
+    segments; without it there must be one segment.
+    """
+    n = -(-x.shape[1] // seg)
+    last = x.shape[1] - (n - 1) * seg
+    if starts is not None:
+        col = _columns(x, seg, 1, seg, n - 1)[0]
+        np.add(np.multiply(starts, rho, out=starts), col, out=col)
+    # columns 0 .. last - 1 of every segment, then last - 1 .. seg - 1 of
+    # all but the last one, which has ended; each phase's first column only
+    # feeds the step after it
+    for segments, first, steps in ((n, 0, last), (n - 1, last - 1, seg - last + 1)):
+        if segments == 0:
+            continue
+        columns = iter(_columns(x, first, steps, seg, segments))
+        prev = next(columns)
+        if segments == 1:
+            # a step is one column, and two ufunc calls beat three
+            lagged = np.empty(prev.shape)
+            for col in columns:
+                np.add(np.multiply(prev, rho, out=lagged), col, out=col)
+                prev = col
+        else:
+            # a step is strided in two axes: a contiguous copy of the running
+            # values saves re-reading them from the block (30 % faster on a
+            # 100 x 32 000 block)
+            state = prev.copy()
+            for col in columns:
+                np.add(np.multiply(state, rho, out=state), col, out=state)
+                col[...] = state
+
+
+def _certified_starts(
+    x: np.ndarray, rho: float, seg: int, warm: int, bound: float
+) -> np.ndarray | None:
+    """The exact x[:, k * seg - 1] (k >= 1) of the recursion ``_ar1_scan``
+    runs on the innovations in x, shaped as in ``_ar1_scan``, or None if any
+    of them is not proven.
+
+    Each start is run over its last ``warm`` innovations from -bound and
+    from +bound (Propp & Wilson's monotone coupling).  In the order of
+    doubles that puts -0 below +0 the step is monotone in the previous value
+    (antitone for rho < 0), and every value of the recursion lies in
+    [-bound, bound], so the true start lies between the two runs: where they
+    agree bit for bit, it is their common value.
+    """
+    columns = _columns(x, seg - warm, warm, seg, -(-x.shape[1] // seg) - 1)
+    runs = np.empty((2,) + columns.shape[1:])
+    runs[0] = -bound
+    runs[1] = bound
+    for col in columns:
+        np.add(np.multiply(runs, rho, out=runs), col, out=runs)
+    low, high = runs.view(np.uint64)
+    return runs[0] if np.array_equal(low, high) else None
+
+
+def _ar1_recursion(block: np.ndarray, rho: float) -> None:
+    """Turn x[:, 0] and innovations x[:, t], t >= 1, into the AR(1) path
+    x[:, t] = fl(fl(rho * x[:, t-1]) + x[:, t]) in place, with the bits of
+    a loop over the columns but in about 5 W loop steps per group of rows,
+    W = ``_warmup_length``, instead of one per column.
+
+    Every value has |x_t| <= bound = 2 M / (1 - |rho|) + 1, M the largest
+    |entry|: M / (1 - |rho|) bounds the exact recursion, and the slack
+    covers rounding once 1 - |rho| > 1e-14, which holds whenever 4 W is
+    below a width that fits in memory.  The rows are cut into segments of
+    L = 4 W columns, and each segment's start is certified by
+    ``_certified_starts``; a group of rows with any start unproven runs as
+    one segment, the plain loop.
+    """
+    count, width = block.shape
+    bound = 2.0 * float(max(block.max(), -block.min())) / (1.0 - abs(rho)) + 1.0
+    warm = _warmup_length(rho, bound)
+    seg = 4 * warm
+    if seg >= width:
+        _ar1_scan(block, rho, width)
+        return
+    rows = max(1, _SCAN_VALUES // -(-width // seg))
+    for first in range(0, count, rows):
+        chunk = block[first : first + rows]
+        starts = _certified_starts(chunk, rho, seg, warm, bound)
+        if starts is None:
+            _ar1_scan(chunk, rho, width)
+        else:
+            _ar1_scan(chunk, rho, seg, starts)
+
+
 def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.ndarray:
     """Sample `count` independent paths as a C-order (count, p) array.
 
@@ -149,12 +276,33 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     ``integers(0, 2)`` (sign models) followed by the model's transform.  One
     Philox generator serves the whole block: each row re-keys it to
     (seed, r) with a fresh counter instead of building a new generator.
+
+    The AR(1) recursion x_t = fl(fl(rho x_{t-1}) + w_t) gives the bits of a
+    loop over the columns without one Python step per column.  Each row is
+    cut into segments of L = 4 W columns, and step t of a segmented scan
+    advances column t of every segment of a group of rows at once, so the
+    loop takes about 5 W steps per group instead of ``p``.  W grows with
+    log(1/|rho|)^-1 (93 at rho = 0.5).  A segment's start value is proven
+    exact by a monotone-coupling certificate (Propp & Wilson, 1996): the
+    step is monotone in x and every value is bounded by B, so W steps from
+    -B and from +B bracket the true start, and when the two agree bit for
+    bit their common value is the start.  A group of rows with any start
+    unproven, a width of at most L and a rho near 1 all run as one segment,
+    which is the plain loop over the columns.  The scan works in place, with
+    no temporary the size of the block.
     """
     if p < 1 or count < 1:
         raise ValueError("p and count must be >= 1")
     width = _innovation_width(model, p)
     bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    state = bitgen.state
+    # The state setter reads plain ints and lists faster than the ndarray
+    # entries the getter returns, so re-key through a converted copy.
+    fresh = bitgen.state
+    state = {
+        **fresh,
+        "state": {name: v.tolist() for name, v in fresh["state"].items()},
+        "buffer": fresh["buffer"].tolist(),
+    }
     key = state["state"]["key"]
 
     def rekey(r: int) -> None:
@@ -183,17 +331,10 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
         rekey(r)
         gen.standard_normal(out=block[r])
     if isinstance(model, GaussianAR1):
-        # x_t = rho * x_{t-1} + scale * z_t in place, column by column.  The
-        # products scale * z_t are formed first in one pass; each step then
-        # costs one multiply and one add, with the same rounding.
-        rho = model.rho
-        block[:, 1:] *= math.sqrt(1.0 - rho * rho)
-        columns = iter(block.T)
-        prev = next(columns)
-        lagged = np.empty(count)
-        for col in columns:
-            np.add(np.multiply(prev, rho, out=lagged), col, out=col)
-            prev = col
+        # x_t = rho * x_{t-1} + w_t, with w_t = scale * z_t formed first in
+        # one pass; each step is then one multiply and one add.
+        block[:, 1:] *= math.sqrt(1.0 - model.rho * model.rho)
+        _ar1_recursion(block, model.rho)
         return block
     c = np.asarray(model.coeffs)
     out = np.empty((count, p))
@@ -254,34 +395,26 @@ def _gaussian_moment(model, indices) -> float:
     raise ValueError("Gaussian product moments implemented up to order 4")
 
 
-def _parity_moment(sign_indices) -> float:
-    """E of a product of independent signs: 1 if every sign occurs an even
-    number of times, else 0."""
-    counts: dict[int, int] = {}
-    for s in sign_indices:
-        counts[s] = counts.get(s, 0) + 1
-    return 1.0 if all(c % 2 == 0 for c in counts.values()) else 0.0
-
-
 def exact_product_moment(model: CovarianceModel, indices) -> float:
     """Exact E[X_{i1} * ... * X_{in}] at the given (1-based) positions.
 
-    Gaussian models use Isserlis pairings (orders <= 4); Rademacher models
-    reduce to a parity count of their driving signs, which is exact for any
-    order.
+    Gaussian models use Isserlis pairings (orders <= 4).  Rademacher models
+    reduce to the driving signs: the product's mean is 1 if every sign
+    occurs an even number of times and 0 otherwise, which is exact for any
+    order.  Bit s - 1 of an XOR mask tracks the parity of sign s: X_i = e_i
+    flips bit i - 1, and X_i = e_{i-1} e_i flips bits i - 2 and i - 1.
     """
-    idx = tuple(int(i) for i in indices)
-    if any(i < 1 for i in idx):
+    idx = tuple(map(int, indices))
+    if idx and min(idx) < 1:
         raise ValueError("positions must be >= 1")
     if isinstance(model, (GaussianAR1, GaussianMA)):
         return _gaussian_moment(model, tuple(sorted(idx)))
-    if isinstance(model, RademacherIID):
-        return _parity_moment(idx)
-    if isinstance(model, RademacherProductMDS):
-        driving = []
+    if isinstance(model, (RademacherIID, RademacherProductMDS)):
+        flips = 1 if isinstance(model, RademacherIID) else 3
+        mask = 0
         for i in idx:
-            driving.extend((i - 1, i))
-        return _parity_moment(driving)
+            mask ^= flips << (i - 1)
+        return 0.0 if mask else 1.0
     raise TypeError(f"unknown model {model!r}")
 
 

@@ -46,11 +46,9 @@ from .models import (
 
 __all__ = [
     "ConvergenceError",
-    "NotPositiveDefiniteError",
     "SpectralModel",
     "StieltjesValue",
     "population_sigma",
-    "cholesky",
     "scaled_paths",
     "sample_covariance_matrix",
     "symmetric_eigenvalues",
@@ -67,15 +65,6 @@ __all__ = [
 
 class ConvergenceError(RuntimeError):
     """An iterative solver ran out of its iteration budget or left its branch."""
-
-
-class NotPositiveDefiniteError(ValueError):
-    """Cholesky met a non-positive pivot; ``pivot_index`` says where."""
-
-    def __init__(self, pivot_index: int, pivot: float):
-        self.pivot_index = pivot_index
-        self.pivot = pivot
-        super().__init__(f"pivot {pivot:.3e} at index {pivot_index} is not positive")
 
 
 @dataclass(frozen=True)
@@ -132,33 +121,6 @@ def population_sigma(law: SpectralModel, p: int) -> np.ndarray:
         base[i] += 1
     diag = np.repeat(lam, base)
     return np.diag(diag)
-
-
-def cholesky(Sigma) -> np.ndarray:
-    """Lower-triangular G with G G' = Sigma, rejecting non-positive pivots.
-
-    No emitted route factors a matrix: ``population_sigma`` is diagonal, so
-    ``scaled_paths`` takes its square root entry by entry.  The factorisation
-    is kept as an independent oracle for that route and reports the failing
-    pivot index.
-    """
-    S = np.asarray(Sigma, dtype=float)
-    if S.ndim != 2 or S.shape[0] != S.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {S.shape}")
-    if not np.all(np.isfinite(S)):
-        raise ValueError("matrix entries must be finite")
-    if np.linalg.norm(S - S.T) > 1e-12 * max(1.0, float(np.linalg.norm(S))):
-        raise ValueError("Cholesky needs a symmetric matrix")
-    p = S.shape[0]
-    L = np.zeros_like(S)
-    for j in range(p):
-        pivot = S[j, j] - float(L[j, :j] @ L[j, :j])
-        if pivot <= 1e-12:
-            raise NotPositiveDefiniteError(j, pivot)
-        L[j, j] = math.sqrt(pivot)
-        if j + 1 < p:
-            L[j + 1 :, j] = (S[j + 1 :, j] - L[j + 1 :, :j] @ L[j, :j]) / L[j, j]
-    return L
 
 
 def scaled_paths(

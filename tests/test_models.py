@@ -1,12 +1,15 @@
 """Model layer: exact moments, dependence profiles, reproducible sampling."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import parity_moment
+from quadvar import models
 from quadvar.models import (
     DependenceProfile,
     GaussianAR1,
@@ -137,6 +140,28 @@ def test_product_mds_moments_track_driving_signs():
     assert exact_product_moment(model, (1, 2, 2, 3)) == 0.0
 
 
+@given(
+    indices=st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=6),
+    mds=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_sign_moments_match_counting_their_driving_signs(indices, mds):
+    if mds:
+        driving = [s for i in indices for s in (i - 1, i)]
+        expected = parity_moment(driving)
+        model = RademacherProductMDS()
+    else:
+        expected = parity_moment(indices)
+        model = RademacherIID()
+    assert exact_product_moment(model, indices) == expected
+
+
+def test_exact_product_moment_rejects_positions_below_one():
+    for model in ALL_MODELS:
+        with pytest.raises(ValueError, match="positions"):
+            exact_product_moment(model, (1, 0, 2, 2))
+
+
 def test_product_mds_is_white_but_not_independent():
     # squares are constant, so squared-covariance vanishes, yet the law is
     # not the iid one: products over overlapping windows correlate driving
@@ -157,6 +182,11 @@ def test_generate_paths_rows_match_single_streams():
         block = generate_paths(model, 12, seed=42, count=5)
         first = generate_path(model, 12, seed=42)
         assert np.array_equal(block[0], first.values)
+
+
+def _same_bits(a, b):
+    # view as integers so that -0.0 and +0.0 differ
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), b.view(np.uint64))
 
 
 def _oracle_row(model, p, seed, r):
@@ -188,7 +218,82 @@ def test_generate_paths_matches_per_row_generators(model, seed):
         assert block.shape == (count, p)
         assert block.flags.c_contiguous
         for r in range(count):
-            assert np.array_equal(block[r], _oracle_row(model, p, seed, r))
+            assert _same_bits(_oracle_row(model, p, seed, r), block[r])
+
+
+SCAN_RHOS = [-0.95, -0.5, 0.0, 0.3, 0.5, 0.9, 0.999]
+
+
+def _spy_certificates(monkeypatch):
+    """Record whether each certificate ``generate_paths`` asks for holds."""
+    held = []
+    real = models._certified_starts
+
+    def spy(*args):
+        starts = real(*args)
+        held.append(starts is not None)
+        return starts
+
+    monkeypatch.setattr(models, "_certified_starts", spy)
+    return held
+
+
+@pytest.mark.parametrize("rho", SCAN_RHOS)
+def test_ar1_scan_matches_the_oracle_across_segment_boundaries(rho, monkeypatch):
+    # Size the warm-up as for a block whose largest |entry| is 8, so that the
+    # segment length depends on rho alone, and advance few values per step,
+    # so that the five rows fall into several groups.
+    real = models._warmup_length
+    floor = 2.0 * 8.0 / (1.0 - abs(rho)) + 1.0
+    monkeypatch.setattr(models, "_warmup_length", lambda r, bound: real(r, max(bound, floor)))
+    monkeypatch.setattr(models, "_SCAN_VALUES", 8)
+    held = _spy_certificates(monkeypatch)
+    seg = 4 * real(rho, floor)
+    widths = {1, 2, 5}
+    if 2 * seg + 1 <= 12_000:
+        widths |= {k * seg + d for k in (1, 2) for d in (-1, 0, 1)}
+    for p in sorted(widths):
+        block = generate_paths(GaussianAR1(rho=rho), p, 11, 5)
+        for r in range(5):
+            assert _same_bits(_oracle_row(GaussianAR1(rho=rho), p, 11, r), block[r]), (p, r)
+    # the four widths above seg ran in two groups of rows or more, and each
+    # group's certificate held
+    assert len(held) >= (8 if len(widths) > 3 else 0)
+    assert all(held)
+
+
+@pytest.mark.parametrize("rho", SCAN_RHOS)
+def test_ar1_scan_matches_the_oracle_on_a_long_row(rho):
+    model = GaussianAR1(rho=rho)
+    block = generate_paths(model, 20_000, 5, 3)
+    for r in range(3):
+        assert _same_bits(_oracle_row(model, 20_000, 5, r), block[r])
+
+
+@pytest.mark.parametrize("rho", [-0.5, 0.5, 0.9])
+def test_ar1_scan_falls_back_to_the_column_loop(rho, monkeypatch):
+    # one warm-up step cannot bring -bound and +bound together
+    monkeypatch.setattr(models, "_warmup_length", lambda r, bound: 1)
+    held = _spy_certificates(monkeypatch)
+    model = GaussianAR1(rho=rho)
+    block = generate_paths(model, 50, 8, 4)
+    assert held and not any(held)
+    for r in range(4):
+        assert _same_bits(_oracle_row(model, 50, 8, r), block[r])
+
+
+def test_ar1_generation_allocates_only_the_block():
+    model = GaussianAR1(rho=0.5)
+    generate_paths(model, 2_000, 1, 10)  # numpy's lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        block = generate_paths(model, 32_000, 1, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= block.nbytes + 2**20
+    for r in (0, 50, 99):
+        assert _same_bits(_oracle_row(model, 32_000, 1, r), block[r])
 
 
 def test_path_rng_streams_are_distinct_and_reproducible():

@@ -3,6 +3,10 @@
 import csv
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -12,7 +16,8 @@ from quadvar.config import ConfigError, canonical_hash, load_config, validate
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
 
 
-KERNELS = Path(__file__).resolve().parent.parent / "configs" / "kernels"
+REPO = Path(__file__).resolve().parent.parent
+KERNELS = REPO / "configs" / "kernels"
 
 
 def _config(**overrides) -> str:
@@ -399,3 +404,39 @@ def test_cli_seed_override_changes_results(tmp_path):
     cli_main(["quadform_var", "--config", str(config), "--out", str(out1)])
     cli_main(["quadform_var", "--config", str(config), "--out", str(out2), "--seed", "77"])
     assert out1.read_bytes() != out2.read_bytes()
+
+
+# ---------------------------------------------------------- byte-identity check
+
+
+def _run_all_configs(*args):
+    env = dict(os.environ)
+    paths = [str(REPO / "src"), env.get("PYTHONPATH")]
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, paths))
+    return subprocess.run(
+        [sys.executable, str(REPO / "scripts" / "run_all_configs.py"), *map(str, args)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+
+
+def test_run_all_configs_check_compares_emitted_bytes(tmp_path):
+    configs = tmp_path / "configs"
+    configs.mkdir()
+    for name in ("kernel_check.json", "stieltjes_grid.json"):
+        shutil.copy(REPO / "configs" / name, configs)
+    reference = tmp_path / "reference"
+    assert _run_all_configs("--configs", configs, "--out", reference).returncode == 0
+
+    same = _run_all_configs("--configs", configs, "--check", reference)
+    assert same.returncode == 0, same.stdout + same.stderr
+    assert same.stdout.count("same bytes") == 2
+
+    grid = reference / "stieltjes_grid.csv"
+    grid.write_bytes(grid.read_bytes().replace(b"stieltjes_grid", b"stieltjes_grix", 1))
+    (reference / "kernel_check.csv").unlink()
+    changed = _run_all_configs("--configs", configs, "--check", reference)
+    assert changed.returncode == 1
+    assert "MISSING" in changed.stdout and "BYTES DIFFER" in changed.stdout

@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
+from oracles import NotPositiveDefiniteError, cholesky
 from quadvar.models import (
     GaussianAR1,
     GaussianMA,
@@ -18,12 +19,10 @@ from quadvar.models import (
 )
 from quadvar.spectral import (
     ConvergenceError,
-    NotPositiveDefiniteError,
     SpectralModel,
     _defining_residual,
     _sturm_eigenvalues,
     _tridiagonalise,
-    cholesky,
     density_from_stieltjes,
     density_grid,
     effective_spectral_model,
