@@ -10,16 +10,20 @@ With ``--check DIR`` each config's CSV is also compared by sha256 with the
 file of the same name in DIR (as an earlier ``--out DIR`` wrote it), and any
 difference or missing file makes the exit status 1: run it with ``--out``
 on one version of the code and with ``--check`` on another to show that a
-change keeps every emitted byte.
+change keeps every emitted byte.  A file that differs is followed by up to
+10 of its differing cells, one a line as ``row, column: old -> new`` (row 1
+is the first record, row 0 the header).
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import sys
 import tempfile
 import time
+from itertools import zip_longest
 from pathlib import Path
 
 from quadvar.config import load_config
@@ -28,6 +32,23 @@ from quadvar.runner import assertions_pass, emit, run
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _differing_cells(old: Path, new: Path, limit: int = 10) -> list[str]:
+    """Up to ``limit`` cells that differ between two CSV files, as
+    ``row, column: old -> new``; a cell one file lacks reads as (none)."""
+    with open(old, newline="", encoding="utf-8") as a, open(new, newline="", encoding="utf-8") as b:
+        old_rows, new_rows = list(csv.reader(a)), list(csv.reader(b))
+    header = max(old_rows[:1] + new_rows[:1], key=len, default=[])
+    cells = []
+    for r, (o, n) in enumerate(zip_longest(old_rows, new_rows, fillvalue=[])):
+        for c, (before, after) in enumerate(zip_longest(o, n, fillvalue="(none)")):
+            if before != after:
+                column = header[c] if c < len(header) else str(c)
+                cells.append(f"  {r}, {column}: {before} -> {after}")
+    if len(cells) > limit:
+        cells[limit:] = [f"  ... {len(cells) - limit} more"]
+    return cells
 
 
 def main() -> int:
@@ -74,6 +95,7 @@ def main() -> int:
                     ok, status = False, f"{status}  MISSING {reference}"
                 elif _sha256(reference) != _sha256(emitted):
                     ok, status = False, f"{status}  BYTES DIFFER from {reference}"
+                    status = "\n".join([status, *_differing_cells(reference, emitted)])
                 else:
                     status = f"{status}  same bytes"
             failures += 0 if ok else 1

@@ -44,7 +44,6 @@ from .quadform import (
     BoundReport,
     VarianceEstimate,
     brute_force_variance,
-    empirical_constant,
     fourth_moment_bound,
     gaussian_exact_variance,
     gaussian_test_matrix,

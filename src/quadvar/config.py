@@ -29,7 +29,7 @@ from .models import (
     RademacherProductMDS,
 )
 from .quadform import gaussian_test_matrix
-from .spectral import SpectralModel, _is_white_noise
+from .spectral import SpectralModel
 
 __all__ = [
     "ConfigError",
@@ -313,9 +313,7 @@ def _build_sweep(section: Any, where: str) -> tuple[tuple[int, float], ...]:
     return tuple(sweep)
 
 
-def _check_esd(
-    atoms: list, sizes: tuple[tuple[int, int], ...], model, p_ref: int
-) -> None:
+def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
     """Conditions the esd run needs that the sections do not check alone."""
     for i, (lam, _) in enumerate(atoms):
         if not lam > 0.0:
@@ -323,13 +321,6 @@ def _check_esd(
     for i, (p, _) in enumerate(sizes):
         if p < len(atoms):
             raise ConfigError(f"sizes[{i}][0]: p = {p} cannot host {len(atoms)} atoms")
-    # Only a serially dependent model reads p_ref: its limit law is taken
-    # from the covariance realised at that dimension.
-    if p_ref < len(atoms) and not _is_white_noise(model):
-        raise ConfigError(
-            f"p_ref: p_ref = {p_ref} cannot host {len(atoms)} atoms "
-            "for a serially dependent model"
-        )
 
 
 @dataclass(frozen=True)
@@ -347,7 +338,6 @@ class ExperimentConfig:
     canonical: dict
     replicates: int = 100000
     max_lag: int = 64
-    p_ref: int = 400
     model: CovarianceModel | None = None
     matrix: np.ndarray | None = None
     vector: np.ndarray | None = None
@@ -467,7 +457,9 @@ def validate(
     if "max_lag" in raw:
         kwargs["max_lag"] = _expect_int(raw["max_lag"], "max_lag", minimum=1)
     if "p_ref" in raw:
-        kwargs["p_ref"] = _expect_int(raw["p_ref"], "p_ref", minimum=2)
+        # Accepted for older esd configs and otherwise ignored: the limit law
+        # no longer depends on a reference dimension.
+        _expect_int(raw["p_ref"], "p_ref", minimum=2)
     if "model" in raw:
         kwargs["model"] = _build_model(raw["model"], "model")
     if "matrix" in raw:
@@ -485,9 +477,7 @@ def validate(
     if "sweep" in raw:
         kwargs["sweep"] = _build_sweep(raw["sweep"], "sweep")
     if experiment == "esd":
-        _check_esd(
-            raw["spectral"]["atoms"], kwargs["sizes"], kwargs["model"], kwargs.get("p_ref", 400)
-        )
+        _check_esd(raw["spectral"]["atoms"], kwargs["sizes"])
 
     out = raw.get("out")
     if out is not None:
@@ -523,8 +513,6 @@ def validate(
         canonical["replicates"] = kwargs.get("replicates", 100000)
     if "max_lag" in allowed:
         canonical["max_lag"] = kwargs.get("max_lag", 64)
-    if "p_ref" in allowed:
-        canonical["p_ref"] = kwargs.get("p_ref", 400)
 
     return ExperimentConfig(
         experiment=experiment,

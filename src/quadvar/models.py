@@ -93,8 +93,13 @@ class RademacherIID:
 
 @dataclass(frozen=True)
 class RademacherProductMDS:
-    """X_t = e_{t-1} e_t for independent signs e_j: a strictly stationary
-    martingale difference sequence with X_t^2 = 1."""
+    """X_t = e_{t-1} e_t for independent signs e_j, t >= 1.
+
+    A martingale difference sequence with X_t^2 = 1, but not a dependent
+    one: the map from (e_0, ..., e_p) to (X_1, ..., X_p) is two-to-one onto
+    all 2^p sign vectors, so X_1..X_p are i.i.d. Rademacher, the law of
+    ``RademacherIID``.
+    """
 
 
 CovarianceModel = Union[GaussianAR1, GaussianMA, RademacherIID, RademacherProductMDS]
@@ -139,6 +144,18 @@ def _innovation_width(model: CovarianceModel, p: int) -> int:
     if isinstance(model, RademacherProductMDS):
         return p + 1
     raise TypeError(f"unknown model {model!r}")
+
+
+def _signs_to_paths(model: CovarianceModel, bits: np.ndarray) -> np.ndarray:
+    """Rows of exact +-1 paths from rows of ``_innovation_width`` driving
+    bits (0 or 1), e = 2 bit - 1: X_t = e_t for ``RademacherIID`` and
+    X_t = e_{t-1} e_t for ``RademacherProductMDS``."""
+    if isinstance(model, RademacherIID):
+        return bits * 2.0 - 1.0
+    if isinstance(model, RademacherProductMDS):
+        # e_{t-1} e_t = +1 exactly when the two driving bits agree.
+        return 1.0 - 2.0 * (bits[:, :-1] ^ bits[:, 1:])
+    raise TypeError(f"{model!r} is not a sign model")
 
 
 # Values one step of the segmented AR(1) scan advances at most.  A step
@@ -320,10 +337,7 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
         bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
         bits[:, 0::2] = (words >> 31) & 1
         bits[:, 1::2] = words >> 63
-        if isinstance(model, RademacherProductMDS):
-            # e_t e_{t+1} = +1 exactly when the two driving bits agree.
-            return 1.0 - 2.0 * (bits[:, : width - 1] ^ bits[:, 1:width])
-        return bits[:, :width] * 2.0 - 1.0
+        return _signs_to_paths(model, bits[:, :width])
 
     gen = np.random.Generator(bitgen)
     block = np.empty((count, width))
@@ -562,11 +576,9 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
     nothing.
     """
     w = _ENUM_WINDOW
-    n_driving = w if isinstance(model, RademacherIID) else w + 1
-    configs = np.arange(2**n_driving, dtype=np.int64)
-    bits = (configs[:, None] >> np.arange(n_driving)[None, :]) & 1
-    signs = bits.astype(float) * 2.0 - 1.0
-    x = signs if isinstance(model, RademacherIID) else signs[:, :-1] * signs[:, 1:]
+    width = _innovation_width(model, w)
+    idx = np.arange(2**width, dtype=np.int64)
+    x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
 
     def mean_prod(*cols):
         prod = np.ones(x.shape[0])

@@ -7,9 +7,6 @@ out so that reported values are the trace/coefficient product only:
 * zero-diagonal matrices need ``sup E X^4 + sum_k k phi_k`` times tr(AA'),
 * arbitrary matrices add the squared-variable covariance mass ``sum phi_sq``,
 * linear processes y = G x trade tr(AA') for tr(S A S A') with S = GG'.
-
-``empirical_constant`` reports how tight those envelopes are on a concrete
-matrix family: the largest ratio of true (or estimated) variance to bound.
 """
 
 from __future__ import annotations
@@ -22,12 +19,8 @@ import numpy as np
 from .models import (
     CovarianceModel,
     DependenceProfile,
-    GaussianAR1,
-    GaussianMA,
-    RademacherIID,
-    RademacherProductMDS,
-    covariance_matrix,
-    dependence_profile,
+    _innovation_width,
+    _signs_to_paths,
     generate_paths,
     path_rng,
 )
@@ -44,7 +37,6 @@ __all__ = [
     "hollow_variance_bound",
     "general_variance_bound",
     "linear_process_variance_bound",
-    "empirical_constant",
     "gaussian_test_matrix",
 ]
 
@@ -153,25 +145,19 @@ def brute_force_variance(model: CovarianceModel, A) -> float:
 
     Equal-weight enumeration over 2^p (independent signs) or 2^(p+1)
     (products of consecutive signs) configurations; exact because every
-    intermediate sum is a small integer.
+    intermediate sum is a small integer.  Other models raise TypeError.
     """
     A = _as_square(A)
     p = A.shape[0]
     if p > _BRUTE_FORCE_MAX_P:
         raise ValueError(f"enumeration capped at p = {_BRUTE_FORCE_MAX_P}, got {p}")
-    if isinstance(model, RademacherIID):
-        n_signs = p
-    elif isinstance(model, RademacherProductMDS):
-        n_signs = p + 1
-    else:
-        raise TypeError("brute_force_variance covers the Rademacher models only")
-    total = 1 << n_signs
+    width = _innovation_width(model, p)
+    total = 1 << width
     acc1 = 0.0
     acc2 = 0.0
     for start in range(0, total, _CHUNK):
         idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        signs = (((idx[:, None] >> np.arange(n_signs)[None, :]) & 1) * 2 - 1).astype(float)
-        x = signs if isinstance(model, RademacherIID) else signs[:, :-1] * signs[:, 1:]
+        x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
         q = np.einsum("ri,ri->r", x @ A, x)
         acc1 += float(q.sum())
         acc2 += float((q * q).sum())
@@ -228,35 +214,6 @@ def linear_process_variance_bound(profile: DependenceProfile, Sigma, A) -> Bound
     trace_term = float(np.sum(M * N.T))
     coeff = profile.general_coefficient_sum
     return BoundReport(coeff * trace_term, trace_term, coeff, "linear_process_variance")
-
-
-def empirical_constant(
-    model: CovarianceModel,
-    matrices,
-    replicates: int,
-    seed: int,
-    max_lag: int = 64,
-) -> float:
-    """Largest variance-to-bound ratio over a matrix family.
-
-    Gaussian models use the exact variance, sign-driven models fall back to
-    Monte Carlo (matrix i drawing from seed + i).  A zero matrix has bound
-    zero and variance zero and contributes a ratio of 0 by convention.
-    """
-    profile = dependence_profile(model, max_lag)
-    gaussian = isinstance(model, (GaussianAR1, GaussianMA))
-    worst = 0.0
-    for i, A in enumerate(matrices):
-        A = _as_square(A)
-        bound = general_variance_bound(profile, A).bound_value
-        if bound == 0.0:
-            continue
-        if gaussian:
-            var = gaussian_exact_variance(covariance_matrix(model, A.shape[0]), A)
-        else:
-            var = mc_variance(model, A, replicates, seed + i).variance
-        worst = max(worst, var / bound)
-    return worst
 
 
 def gaussian_test_matrix(p: int, seed: int, hollow: bool = False) -> np.ndarray:

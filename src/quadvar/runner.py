@@ -168,7 +168,7 @@ def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _run_esd(cfg: ExperimentConfig) -> list[dict]:
-    effective = effective_spectral_model(cfg.model, cfg.spectral, cfg.p_ref)
+    effective = effective_spectral_model(cfg.model, cfg.spectral)
     cdf = limit_cdf(effective)
     max_ks = cfg.tolerances["max_ks"]
     rows = []

@@ -15,14 +15,15 @@ v = -(1-c)/z + c m, which keeps v in the upper half-plane, with a Newton step
 tried first and kept only where it stays there and lowers |m - F(m)|.
 Eigenvalues come from one in-house route, Householder tridiagonalisation
 followed by Sturm-count bisection, built from ufunc reductions so that no
-BLAS thread count can change their bits.  The sample side (``esd``) and the
-reference atoms of ``effective_spectral_model`` share it; LAPACK is its
-oracle in the tests, never on the emitted path.
+BLAS thread count can change their bits; LAPACK is its oracle in the tests,
+never on the emitted path.
 
 When the driving path itself is serially dependent, E[(Gx)(Gx)'] is no longer
 G G'; ``effective_spectral_model`` converts a (model, target) pair into the
 atom law of the covariance actually realised, which is the input the limit
-equation needs.
+equation needs.  It takes that law from its Szegő limit, lambda_k f(theta)
+with f the model's spectral density, on a fixed midpoint grid in theta, and
+makes no eigenvalue call.
 """
 
 from __future__ import annotations
@@ -37,10 +38,7 @@ from .models import (
     CovarianceModel,
     GaussianAR1,
     GaussianMA,
-    RademacherIID,
-    RademacherProductMDS,
     autocovariance,
-    covariance_matrix,
     generate_paths,
 )
 
@@ -337,10 +335,15 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
             break
         z, mt = zs[todo], m[todo]
         a = 1.0 - c - c * z * mt  # = -z v
-        inv = 1.0 / (lam_col * a[None, :] - z[None, :])  # = -1 / (z (1 + lambda v))
+        # atoms x points blocks, formed in place to hold fewer at once
+        inv = lam_col * a[None, :]
+        inv -= z[None, :]
+        np.divide(1.0, inv, out=inv)  # = -1 / (z (1 + lambda v))
         s1 = np.sum(w_lam * inv, axis=0)  # t = -z s1
-        s2 = np.sum(w_lam2 * inv * inv, axis=0)  # t' = -z^2 s2
-        del inv  # the residuals below allocate blocks of the same atoms x points size
+        term = w_lam2 * inv
+        term *= inv
+        s2 = term.sum(axis=0)  # t' = -z^2 s2
+        del inv, term  # the residuals below allocate blocks of the same size
         g = 1.0 + c * s1  # z - c t = z g
         h = 1.0 - a * g  # h = v (z - c t) + 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -531,36 +534,41 @@ def kolmogorov_distance(esd, cdf) -> float:
     return float(np.max(np.maximum(np.abs(steps_hi - ref), np.abs(steps_lo - ref))))
 
 
-def _is_white_noise(model: CovarianceModel) -> bool:
-    """Whether C(j) = 0 at every lag j != 0, decided from the model itself."""
+# Nodes of the midpoint rule for the Szegő limit law: a power of two, so every
+# weight w_k / N is exact.
+_SZEGO_NODES = 128
+
+
+def _spectral_density(model: CovarianceModel, theta: np.ndarray) -> np.ndarray:
+    """f(theta) = C(0) + 2 sum_j C(j) cos(j theta), the spectral density
+    normalised to mean 1 over [0, pi]; AR(1) in closed form."""
     if isinstance(model, GaussianAR1):
-        return model.rho == 0.0
-    if isinstance(model, GaussianMA):
-        return not np.any(autocovariance(model, np.arange(1, model.order + 1)))
-    return isinstance(model, (RademacherIID, RademacherProductMDS))
+        rho = model.rho
+        return (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(theta) + rho * rho)
+    order = model.order if isinstance(model, GaussianMA) else 0
+    acf = autocovariance(model, np.arange(order + 1))
+    lags = np.arange(1, order + 1)
+    waves = acf[1:, None] * np.cos(np.multiply.outer(lags, theta))
+    return acf[0] + 2.0 * waves.sum(axis=0)
 
 
-def effective_spectral_model(
-    model: CovarianceModel, law: SpectralModel, p_ref: int = 400
-) -> SpectralModel:
+def effective_spectral_model(model: CovarianceModel, law: SpectralModel) -> SpectralModel:
     """Atom law of the column covariance actually realised by (model, law).
 
-    Columns G x with a serially dependent x have covariance G T G' (T the
-    model's Toeplitz autocovariance), not G G'.  For white-noise models the
-    input law is returned unchanged; otherwise the spectrum of G T G' at a
-    reference dimension supplies the atoms.  They come from the same eigen
-    route as the sample side, called through its private helpers so that a
-    trace of ``symmetric_eigenvalues`` counts only sample matrices; like the
-    rest of the emitted path they do not depend on the BLAS thread count.
+    Columns G x with a serially dependent x have covariance G T_p G' (T_p the
+    model's Toeplitz autocovariance), not G G'.  With G from
+    ``population_sigma`` its spectrum tends to the law of lambda_k f(theta),
+    k drawn with weight w_k and theta uniform on [0, pi] (Tilli, Linear
+    Algebra Appl. 278, 1998), f the spectral density of ``_spectral_density``.
+    The midpoint rule theta_i = (i + 1/2) pi / N, N = 128, gives the atoms
+    (lambda_k f(theta_i), w_k / N).  The sums are ufunc reductions, so the
+    atoms do not depend on the BLAS thread count.  A white-noise model has
+    f = 1 at every node, and the input law is returned unchanged.
     """
-    if _is_white_noise(model):
+    theta = (np.arange(_SZEGO_NODES) + 0.5) * (math.pi / _SZEGO_NODES)
+    f = _spectral_density(model, theta)
+    if np.all(f == 1.0):
         return law
-    T = covariance_matrix(model, p_ref)
-    scale = np.sqrt(np.diag(population_sigma(law, p_ref)))
-    true_cov = scale[:, None] * T * scale[None, :]
-    vals, _ = _sturm_eigenvalues(*_tridiagonalise((true_cov + true_cov.T) / 2.0))
-    vals = np.clip(vals, 0.0, None)
-    weight = np.full(p_ref, 1.0 / p_ref)
-    weight /= weight.sum()
-    atoms = tuple((float(v), float(wt)) for v, wt in zip(vals, weight))
-    return SpectralModel(atoms=atoms, c=law.c)
+    lam = np.multiply.outer(law.lambdas, f).ravel()
+    weight = np.repeat(law.weights / _SZEGO_NODES, _SZEGO_NODES)
+    return SpectralModel(atoms=tuple(zip(lam.tolist(), weight.tolist())), c=law.c)

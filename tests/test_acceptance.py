@@ -510,7 +510,7 @@ CROSS_THREAD_CONFIGS = {
         "spectral": {"atoms": [[1.0, 0.5], [3.0, 0.5]], "c": 0.5},
         "sizes": [[100, 200], [200, 400]],
     },
-    # the reference atoms of effective_spectral_model at p_ref = 400
+    # AR(1) columns: the Szegő reference atoms of effective_spectral_model
     "esd_ar1": {
         "experiment": "esd",
         "seed": 4,

@@ -17,6 +17,8 @@ from quadvar.models import (
     RademacherIID,
     RademacherProductMDS,
     SamplePath,
+    _innovation_width,
+    _signs_to_paths,
     autocovariance,
     covariance_matrix,
     dependence_profile,
@@ -163,15 +165,29 @@ def test_exact_product_moment_rejects_positions_below_one():
 
 
 def test_product_mds_is_white_but_not_independent():
-    # squares are constant, so squared-covariance vanishes, yet the law is
-    # not the iid one: products over overlapping windows correlate driving
-    # signs (seen in exact moments of six factors, outside the tracked set).
+    # squares are constant, so squared-covariance vanishes; the law is in
+    # fact the i.i.d. one (see the enumeration test below), so every tracked
+    # covariance is zero as well.
     model = RademacherProductMDS()
     assert autocovariance(model, 1) == 0.0
     profile = dependence_profile(model, 8)
     assert profile.fourth_moment_sup == 1.0
     assert np.all(profile.phi == 0.0)
     assert np.all(profile.phi_sq == 0.0)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_product_mds_is_iid_rademacher(p):
+    """X_t = e_{t-1} e_t maps the 2^(p+1) driving signs two-to-one onto all
+    2^p sign vectors, so X_1..X_p are independent fair signs."""
+    model = RademacherProductMDS()
+    width = _innovation_width(model, p)
+    idx = np.arange(2**width, dtype=np.int64)
+    paths = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
+    assert paths.shape == (2**width, p)
+    vectors, counts = np.unique(paths, axis=0, return_counts=True)
+    assert len(vectors) == 2**p
+    assert np.all(counts == 2)
 
 
 # ------------------------------------------------------------------ sampling

@@ -16,7 +16,6 @@ from quadvar.models import (
 )
 from quadvar.quadform import (
     brute_force_variance,
-    empirical_constant,
     fourth_moment_bound,
     gaussian_exact_variance,
     gaussian_test_matrix,
@@ -191,18 +190,6 @@ def test_exact_variance_never_exceeds_certified_bound(rho, seed):
     A = gaussian_test_matrix(10, seed=seed)
     exact = gaussian_exact_variance(covariance_matrix(model, 10), A)
     assert exact <= 3.0 * general_variance_bound(profile, A).bound_value + 1e-9
-
-
-def test_empirical_constant_matches_worst_ratio():
-    model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model, 64)
-    mats = [gaussian_test_matrix(6, seed=s) for s in range(3)]
-    worst = max(
-        gaussian_exact_variance(covariance_matrix(model, 6), A)
-        / general_variance_bound(profile, A).bound_value
-        for A in mats
-    )
-    assert empirical_constant(model, mats, 1000, seed=0) == pytest.approx(worst, rel=1e-12)
 
 
 def test_gaussian_test_matrix_is_reproducible():

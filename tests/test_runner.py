@@ -339,7 +339,7 @@ _ESD = {
     "sizes": [[20, 40]],
 }
 
-# p_ref below the atom count: only a serially dependent model reads it.
+# p_ref below the atom count: no model reads it any more.
 _ESD_THREE_ATOMS = {
     **_ESD,
     "spectral": {"atoms": [[1.0, 0.25], [2.0, 0.25], [3.0, 0.5]], "c": 0.5},
@@ -368,7 +368,9 @@ _ESD_THREE_ATOMS = {
             "spectral.atoms[0][0]",
         ),
         ("esd", {**_ESD, "sizes": [[20, 40], [1, 2]]}, "sizes[1][0]"),
-        ("esd", {**_ESD_THREE_ATOMS, "model": {"name": "gaussian_ar1", "rho": 0.5}}, "p_ref"),
+        # ignored since the limit law has no reference dimension, but still
+        # parsed: a malformed value is a config error
+        ("esd", {**_ESD, "p_ref": 1}, "p_ref"),
     ],
 )
 def test_cli_run_preconditions_are_exit_two(tmp_path, capsys, experiment, config, key):
@@ -384,6 +386,22 @@ def test_cli_white_noise_esd_ignores_p_ref_below_atom_count(tmp_path):
     out = tmp_path / "records.csv"
     assert cli_main(["esd", "--config", str(path), "--out", str(out)]) == 0
     assert out.exists()
+
+
+def test_cli_dependent_esd_ignores_p_ref_below_atom_count(tmp_path):
+    path = tmp_path / "ar1.json"
+    path.write_text(
+        json.dumps({**_ESD_THREE_ATOMS, "model": {"name": "gaussian_ar1", "rho": 0.5}})
+    )
+    out = tmp_path / "records.csv"
+    assert cli_main(["esd", "--config", str(path), "--out", str(out)]) == 0
+    assert out.exists()
+
+
+def test_hash_ignores_p_ref():
+    with_ref = validate(json.dumps({**_ESD, "p_ref": 100}))
+    assert with_ref.config_hash == validate(json.dumps(_ESD)).config_hash
+    assert "p_ref" not in with_ref.canonical
 
 
 def test_cli_missing_file_is_exit_two(tmp_path):
@@ -440,3 +458,6 @@ def test_run_all_configs_check_compares_emitted_bytes(tmp_path):
     changed = _run_all_configs("--configs", configs, "--check", reference)
     assert changed.returncode == 1
     assert "MISSING" in changed.stdout and "BYTES DIFFER" in changed.stdout
+    # the one changed cell is named, old value first
+    assert "  1, experiment: stieltjes_grix -> stieltjes_grid\n" in changed.stdout
+    assert changed.stdout.count(" -> ") == 1
