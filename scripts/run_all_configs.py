@@ -13,6 +13,10 @@ on one version of the code and with ``--check`` on another to show that a
 change keeps every emitted byte.  A file that differs is followed by up to
 10 of its differing cells, one a line as ``row, column: old -> new`` (row 1
 is the first record, row 0 the header).
+
+Each line also gives the process's peak resident set size so far (Linux
+``ru_maxrss``, in MiB); as the configs run in one process, the first line
+where it jumps names the config that sets the peak.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import resource
 import sys
 import tempfile
 import time
@@ -99,9 +104,11 @@ def main() -> int:
                 else:
                     status = f"{status}  same bytes"
             failures += 0 if ok else 1
+            peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
             print(
                 f"{path.name:32s} {cfg.experiment:16s} "
-                f"{len(records):3d} record(s)  {elapsed:6.2f}s  {status}"
+                f"{len(records):3d} record(s)  {elapsed:6.2f}s  "
+                f"peak {peak_mib:6.1f} MiB  {status}"
             )
     return 0 if failures == 0 else 1
 

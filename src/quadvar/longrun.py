@@ -467,17 +467,10 @@ class BiasDecomposition:
     leading: float
 
 
-def _bias_sum(model: CovarianceModel, kernel: Kernel, m: float, j_stop: int,
-              triangular_n: int | None) -> float:
-    """2 sum_{j=1}^{j_stop} (w_j K(j/m) - 1) C(j) - 2 sum_{j > j_stop} C(j),
-    with w_j the triangular factor (1 - j/n) or 1."""
-    js = np.arange(1, j_stop + 1)
-    cov = autocovariance(model, js) if js.size else np.zeros(0)
-    weights = kernel_eval(kernel, js / m) if js.size else np.zeros(0)
-    if triangular_n is not None:
-        weights = weights * (1.0 - js / triangular_n)
+def _bias_sum(model: CovarianceModel, weights: np.ndarray, cov: np.ndarray) -> float:
+    """2 sum_{j=1}^{J} (weights_j - 1) C(j) - 2 sum_{j > J} C(j), J = cov.size."""
     head = 2.0 * float(np.sum((weights - 1.0) * cov))
-    return head - 2.0 * _autocov_tail_sum(model, j_stop + 1)
+    return head - 2.0 * _autocov_tail_sum(model, cov.size + 1)
 
 
 def exact_bias(
@@ -490,16 +483,23 @@ def exact_bias(
     2 sum_{j=1}^{n-1} ((1 - j/n) K(j/m) - 1) C(j) - 2 sum_{j >= n} C(j),
     evaluated with the model's exact tail.  The leading term drops the
     triangular factor and extends the sum far enough that the residual tail
-    is exact for the bundled models.
+    is exact for the bundled models.  Both sums read one set of lag vectors,
+    the exact one its first n - 1 entries.
     """
     if not (m > 0.0):
         raise ValueError(f"bandwidth m must be positive, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    exact = _bias_sum(model, kernel, m, n - 1, triangular_n=n)
-    stop = _leading_stop(model, kernel, m, n)
-    leading = _bias_sum(model, kernel, m, stop, triangular_n=None)
-    return BiasDecomposition(exact=exact, leading=leading)
+    stop = _leading_stop(model, kernel, m, n)  # >= n - 1
+    js = np.arange(1, stop + 1)
+    cov = autocovariance(model, js)
+    weights = kernel_eval(kernel, js / m)
+    head = n - 1
+    triangular = weights[:head] * (1.0 - js[:head] / n)
+    return BiasDecomposition(
+        exact=_bias_sum(model, triangular, cov[:head]),
+        leading=_bias_sum(model, weights, cov),
+    )
 
 
 def _leading_stop(model: CovarianceModel, kernel: Kernel, m: float, n: int) -> int:
@@ -535,7 +535,7 @@ def variance_bound_c_free(
 class MSEReport:
     """Constant-free pieces of the mean-square-error bound at one (m, n)."""
 
-    exact_bias: float
+    bias: BiasDecomposition
     variance_bound_c_free: float
     squared_bias_leading: float
     gamma_q: float
@@ -544,6 +544,10 @@ class MSEReport:
     def __post_init__(self):
         if self.variance_bound_c_free < 0.0 or self.squared_bias_leading < 0.0:
             raise ValueError("bound terms must be non-negative")
+
+    @property
+    def exact_bias(self) -> float:
+        return self.bias.exact
 
 
 def mse_bound(
@@ -570,7 +574,7 @@ def mse_bound(
         gq = gamma_q(model, report.q, tail_tol)
         squared_leading = 4.0 * (report.k_q * gq) ** 2 / m ** (2.0 * report.q)
     return MSEReport(
-        exact_bias=exact_bias(model, kernel, m, n).exact,
+        bias=exact_bias(model, kernel, m, n),
         variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
         squared_bias_leading=squared_leading,
         gamma_q=gq,

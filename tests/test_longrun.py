@@ -292,6 +292,7 @@ def test_mse_bound_report_fields():
     assert report.exact_bias == pytest.approx(
         exact_bias(model, Kernel.bartlett(), 10.0, 100).exact, rel=1e-14
     )
+    assert report.bias == exact_bias(model, Kernel.bartlett(), 10.0, 100)
 
 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():

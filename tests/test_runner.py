@@ -7,10 +7,12 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
+from quadvar import runner
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
@@ -213,6 +215,48 @@ def test_failed_assertion_is_recorded_not_raised():
     records = run(cfg)
     assert records[0].metrics["assert_closed_form"] == 0
     assert not assertions_pass(records)
+
+
+def _lrv_config(sweep, replicates):
+    return validate(
+        json.dumps(
+            {
+                "experiment": "lrv_mse",
+                "seed": 4,
+                "model": {"name": "gaussian_ar1", "rho": 0.5},
+                "kernel": {"name": "bartlett"},
+                "sweep": sweep,
+                "replicates": replicates,
+            }
+        )
+    )
+
+
+def test_lrv_mse_sweep_holds_one_path_block():
+    cfg = _lrv_config([[20_000, 2.0], [20_000, 8.0]], 20)
+    run(cfg)  # numpy's lazy set-up and the kernel's cached values are not counted
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    block = 8 * 20 * 20_000
+    assert peak <= block + 2**20
+
+
+def test_lrv_mse_draws_one_block_per_sweep_point(monkeypatch):
+    calls = []
+    draw = runner.generate_paths
+
+    def recording(*args, **kwargs):
+        calls.append((args, kwargs))
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "generate_paths", recording)
+    cfg = _lrv_config([[300, 2.0], [300, 8.0], [600, 4.0]], 5)
+    run(cfg)
+    assert calls == [((cfg.model, n, cfg.seed, 5), {}) for n, _ in cfg.sweep]
 
 
 # -------------------------------------------------------------------- emission
