@@ -192,6 +192,45 @@ def _tridiagonalise(S) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(d, shift), np.ldexp(e, shift)
 
 
+def _ldl_pivots(d, e2, shifts, pivmin, guard) -> np.ndarray:
+    """Pivots of T - x I = L D L' for every shift x, row i the i-th pivot.
+
+    The count of pivots <= pivmin in a column is the number of eigenvalues
+    of T at or below its shift.  With ``guard``, a pivot within pivmin of
+    zero is pushed to -pivmin as in LAPACK dstebz; without it such a pivot
+    stays, and the rows after it may turn infinite or NaN.
+    """
+    pivot = np.subtract.outer(d, shifts)
+    ratio = np.empty(shifts.size)
+    tiny = np.empty(shifts.size, dtype=bool)
+    for i, current in enumerate(pivot):
+        if i > 0:
+            np.divide(e2[i - 1], pivot[i - 1], out=ratio)
+            np.subtract(current, ratio, out=current)
+        if guard:
+            np.less_equal(current, pivmin, out=tiny)
+            np.minimum(current, -pivmin, out=current, where=tiny)
+    return pivot
+
+
+# Shifts one pass of the Sturm recurrence evaluates at most.  A pass costs
+# two ufunc calls per row of T whatever its width, so it evaluates a tree of
+# b nested bisection levels, 2**b - 1 shifts per interval, with the largest
+# b that keeps (2**b - 1) p within this budget; wider passes trade calls for
+# shifts the walk discards.  On Gram matrices b = 2 to 4 ran within noise of
+# each other at p = 50 to 150, 2.5 to 4 times faster than plain bisection;
+# at p = 800 two levels took 0.39 s against 0.26 s for one.  500 keeps
+# b >= 2 up to p = 166 with a pivot block of at most 500 p doubles, 240 kB
+# at p = 100 (b = 2); at 700 (b = 3 and 560 kB there) the spectral_esd
+# benchmark's peak RSS rose 0.3 MiB more.
+_STURM_VALUES = 500
+
+
+def _sturm_levels(p: int) -> int:
+    """Bisection levels one pass evaluates for a p x p tridiagonal."""
+    return max(1, (_STURM_VALUES // p + 1).bit_length() - 1)
+
+
 def _sturm_eigenvalues(d, e) -> tuple[np.ndarray, int]:
     """Eigenvalues (ascending) of the tridiagonal (d, e), and the bisection steps.
 
@@ -206,6 +245,13 @@ def _sturm_eigenvalues(d, e) -> tuple[np.ndarray, int]:
     spectrum; a zero eigenvalue of a rank-deficient matrix stops as soon as
     the rest.  Like the reduction it works on (d, e) scaled by a power of
     two, to a largest entry in [1/2, 1).
+
+    The steps run as multisection: one pass of the recurrence counts at
+    every midpoint of the next b bisection steps of each interval, each
+    formed as 0.5 * (lo + hi) of its parent's ends, and a walk down that
+    tree takes the same decisions as b single steps, so the result and the
+    step count are those of plain bisection bit for bit.  Each pass runs the
+    recurrence on a (p, K) block for all K = (2**b - 1) p shifts at once.
     """
     p = d.size
     shift = _binary_exponent(np.concatenate([d, e]))
@@ -221,25 +267,42 @@ def _sturm_eigenvalues(d, e) -> tuple[np.ndarray, int]:
     slack = 2.1 * (eps * norm * p + 2.0 * pivmin)
     lower, upper = lower - slack, upper + slack
     steps = math.ceil(math.log2((upper - lower) / max(eps * norm, pivmin)))
+    levels = _sturm_levels(p)
     lo, hi = np.full(p, lower), np.full(p, upper)
     index = np.arange(p)
-    count = np.empty(p, dtype=np.intp)
-    below = np.empty(p, dtype=bool)
-    for _ in range(steps):
-        mid = 0.5 * (lo + hi)
-        shifted = d[:, None] - mid[None, :]
-        pivot = shifted[0].copy()
-        np.less_equal(pivot, pivmin, out=below)
-        np.minimum(pivot, -pivmin, out=pivot, where=below)
-        count[:] = below
-        for i in range(1, p):
-            pivot = shifted[i] - e2[i - 1] / pivot
-            np.less_equal(pivot, pivmin, out=below)
-            np.minimum(pivot, -pivmin, out=pivot, where=below)
-            count += below
-        right = count > index
-        hi = np.where(right, mid, hi)
-        lo = np.where(right, lo, mid)
+    done = 0
+    while done < steps:
+        depth = min(levels, steps - done)
+        done += depth
+        # Heap order: node k halves [left[k], right[k]] at mid[k], and its
+        # children 2k and 2k + 1 are the lower and upper halves.
+        nodes = 1 << depth
+        left, right = np.empty((2, 2 * nodes, p))  # the leaves' ends go unused
+        mid = np.empty((nodes, p))
+        left[1], right[1] = lo, hi
+        for level in range(depth):
+            row = slice(1 << level, 2 << level)
+            mid[row] = 0.5 * (left[row] + right[row])
+            down, up = slice(2 << level, 4 << level, 2), slice((2 << level) + 1, 4 << level, 2)
+            left[down], right[down] = left[row], mid[row]
+            left[up], right[up] = mid[row], right[row]
+        # The guard acts only on a zero or subnormal pivot, so the recurrence
+        # runs without it and reruns with it if any pivot is that small or
+        # NaN; where none is, the guard would have changed nothing.
+        shifts = mid[1:].ravel()
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            pivot = _ldl_pivots(d, e2, shifts, pivmin, guard=False)
+        if not (np.abs(pivot) > pivmin).all():
+            pivot = _ldl_pivots(d, e2, shifts, pivmin, guard=True)
+        count = np.count_nonzero(pivot <= pivmin, axis=0).reshape(nodes - 1, p)
+        # Walk each interval down its tree with the bisection decisions.
+        node = np.ones(p, dtype=np.intp)
+        for _ in range(depth):
+            at = mid[node, index]
+            step_down = count[node - 1, index] > index
+            hi = np.where(step_down, at, hi)
+            lo = np.where(step_down, lo, at)
+            node = 2 * node + ~step_down
     return np.ldexp(np.sort(0.5 * (lo + hi)), shift), steps
 
 
@@ -295,7 +358,7 @@ class StieltjesValue:
 def _defining_residual(lam, w, c, zs, m):
     """|m - F(m)| for the limit equation, vectorised over the z axis."""
     denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
-    return np.abs(m - np.sum(w[:, None] / denom, axis=0))
+    return np.abs(m - (w[:, None] / denom).sum(axis=0))
 
 
 def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
@@ -317,12 +380,24 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
     1 + lambda_k v = -D_k / z, so every step is formed from D, and m is never
     recovered from v, which would cancel (1-c)/z against c m when |z| is
     small.  The sums over atoms are ufunc reductions, not BLAS calls.
+
+    Their bits depend on the shape of the block they run in: one point's
+    column alone is a 1-D pairwise sum, while inside an atoms x points block
+    with more than one point each column is summed in sequence; numpy's
+    in-place complex product (``term *= inv``) can also round a one-element
+    block differently from a longer one.  So ``limit_stieltjes(z)`` and
+    ``density_grid`` at the same z can differ in the last bits, and a change
+    here must keep the shape of every operation; that is why the companion
+    residual is formed on the whole unconverged set whenever any Newton step
+    is rejected, not on the rejected points.
     """
     zs = np.asarray(zs, dtype=complex)
+    cz = c * zs
+    drift = (1.0 - c) / zs  # v = c m - drift
     m = -1.0 / zs
     if m0 is not None:
         m0 = np.asarray(m0, dtype=complex)
-        v0 = c * m0 - (1.0 - c) / zs
+        v0 = c * m0 - drift
         m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
     residual = _defining_residual(lam, w, c, zs, m)
     iterations = np.zeros(zs.shape, dtype=int)
@@ -330,16 +405,16 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
     w_lam = (w * lam)[:, None]
     w_lam2 = (w * lam * lam)[:, None]
     for _ in range(max_iter):
-        todo = np.flatnonzero((residual > tol) | (m.imag <= 0.0))
+        todo = ((residual > tol) | (m.imag <= 0.0)).nonzero()[0]
         if todo.size == 0:
             break
-        z, mt = zs[todo], m[todo]
-        a = 1.0 - c - c * z * mt  # = -z v
+        z, mt, cz_t = zs[todo], m[todo], cz[todo]
+        a = 1.0 - c - cz_t * mt  # = -z v
         # atoms x points blocks, formed in place to hold fewer at once
         inv = lam_col * a[None, :]
         inv -= z[None, :]
         np.divide(1.0, inv, out=inv)  # = -1 / (z (1 + lambda v))
-        s1 = np.sum(w_lam * inv, axis=0)  # t = -z s1
+        s1 = (w_lam * inv).sum(axis=0)  # t = -z s1
         term = w_lam2 * inv
         term *= inv
         s2 = term.sum(axis=0)  # t' = -z^2 s2
@@ -347,22 +422,21 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
         g = 1.0 + c * s1  # z - c t = z g
         h = 1.0 - a * g  # h = v (z - c t) + 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = h / (c * z * (g - c * a * s2))  # h / (c h'), h' = z (g - c a s2)
+            step = h / (cz_t * (g - c * a * s2))  # h / (c h'), h' = z (g - c a s2)
             m_newton = mt - step
-            v_newton = c * m_newton - (1.0 - c) / z
+            v_newton = c * m_newton - drift[todo]
             res_newton = _defining_residual(lam, w, c, z, m_newton)
-        newton = (
-            (v_newton.imag > 0.0)
-            & (m_newton.imag > 0.0)
-            & np.isfinite(res_newton)
-            & (res_newton < residual[todo])
-        )
-        # companion step v <- -1/(z g), mapped back to m without cancellation
-        m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
-        m[todo] = np.where(newton, m_newton, m_companion)
-        residual[todo] = np.where(
-            newton, res_newton, _defining_residual(lam, w, c, z, m_companion)
-        )
+        # a NaN residual fails the comparison, so a kept step is finite
+        newton = (v_newton.imag > 0.0) & (m_newton.imag > 0.0) & (res_newton < residual[todo])
+        if newton.all():
+            m[todo], residual[todo] = m_newton, res_newton
+        else:
+            # companion step v <- -1/(z g), mapped back to m without cancellation
+            m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
+            m[todo] = np.where(newton, m_newton, m_companion)
+            residual[todo] = np.where(
+                newton, res_newton, _defining_residual(lam, w, c, z, m_companion)
+            )
         iterations[todo] += 1
     return m, residual, iterations
 

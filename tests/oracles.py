@@ -50,3 +50,111 @@ def parity_moment(sign_indices) -> float:
     for s in sign_indices:
         counts[s] = counts.get(s, 0) + 1
     return 1.0 if all(c % 2 == 0 for c in counts.values()) else 0.0
+
+
+def _binary_exponent(a) -> int:
+    """The exponent k with max |a| in [2**(k-1), 2**k); 0 for an all-zero a."""
+    return math.frexp(float(np.abs(a).max()))[1]
+
+
+def sturm_bisection(d, e) -> tuple[np.ndarray, int]:
+    """Eigenvalues (ascending) of the tridiagonal (d, e) and the step count,
+    by one bisection step per pass of the Sturm-count recurrence.
+
+    This is the plain loop the package's multisection must reproduce bit
+    for bit: same scaling, Gershgorin start, pivmin guard and stopping width.
+    """
+    p = d.size
+    shift = _binary_exponent(np.concatenate([d, e]))
+    d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
+    e2 = e * e
+    radius = np.zeros(p)
+    radius[:-1] += np.abs(e)
+    radius[1:] += np.abs(e)
+    lower, upper = float((d - radius).min()), float((d + radius).max())
+    norm = max(abs(lower), abs(upper))
+    eps = np.finfo(float).eps
+    pivmin = np.finfo(float).tiny
+    slack = 2.1 * (eps * norm * p + 2.0 * pivmin)
+    lower, upper = lower - slack, upper + slack
+    steps = math.ceil(math.log2((upper - lower) / max(eps * norm, pivmin)))
+    lo, hi = np.full(p, lower), np.full(p, upper)
+    index = np.arange(p)
+    count = np.empty(p, dtype=np.intp)
+    below = np.empty(p, dtype=bool)
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        shifted = d[:, None] - mid[None, :]
+        pivot = shifted[0].copy()
+        np.less_equal(pivot, pivmin, out=below)
+        np.minimum(pivot, -pivmin, out=pivot, where=below)
+        count[:] = below
+        for i in range(1, p):
+            pivot = shifted[i] - e2[i - 1] / pivot
+            np.less_equal(pivot, pivmin, out=below)
+            np.minimum(pivot, -pivmin, out=pivot, where=below)
+            count += below
+        right = count > index
+        hi = np.where(right, mid, hi)
+        lo = np.where(right, lo, mid)
+    return np.ldexp(np.sort(0.5 * (lo + hi)), shift), steps
+
+
+def _limit_residual(lam, w, c, zs, m):
+    """|m - F(m)| for the limit equation, vectorised over the z axis."""
+    denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
+    return np.abs(m - np.sum(w[:, None] / denom, axis=0))
+
+
+def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
+    """The limit-equation solver with every candidate formed at every step:
+    Newton and companion steps on the whole unconverged set, the Newton step
+    kept where it is finite, in the upper half-plane and lowers |m - F(m)|.
+
+    The package's solver skips work this one does and must return the same
+    m, residuals and iteration counts bit for bit.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    m = -1.0 / zs
+    if m0 is not None:
+        m0 = np.asarray(m0, dtype=complex)
+        v0 = c * m0 - (1.0 - c) / zs
+        m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
+    residual = _limit_residual(lam, w, c, zs, m)
+    iterations = np.zeros(zs.shape, dtype=int)
+    lam_col = lam[:, None]
+    w_lam = (w * lam)[:, None]
+    w_lam2 = (w * lam * lam)[:, None]
+    for _ in range(max_iter):
+        todo = np.flatnonzero((residual > tol) | (m.imag <= 0.0))
+        if todo.size == 0:
+            break
+        z, mt = zs[todo], m[todo]
+        a = 1.0 - c - c * z * mt
+        inv = lam_col * a[None, :]
+        inv -= z[None, :]
+        np.divide(1.0, inv, out=inv)
+        s1 = np.sum(w_lam * inv, axis=0)
+        term = w_lam2 * inv
+        term *= inv
+        s2 = term.sum(axis=0)
+        g = 1.0 + c * s1
+        h = 1.0 - a * g
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            step = h / (c * z * (g - c * a * s2))
+            m_newton = mt - step
+            v_newton = c * m_newton - (1.0 - c) / z
+            res_newton = _limit_residual(lam, w, c, z, m_newton)
+        newton = (
+            (v_newton.imag > 0.0)
+            & (m_newton.imag > 0.0)
+            & np.isfinite(res_newton)
+            & (res_newton < residual[todo])
+        )
+        m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
+        m[todo] = np.where(newton, m_newton, m_companion)
+        residual[todo] = np.where(
+            newton, res_newton, _limit_residual(lam, w, c, z, m_companion)
+        )
+        iterations[todo] += 1
+    return m, residual, iterations

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from oracles import NotPositiveDefiniteError, cholesky
+from oracles import NotPositiveDefiniteError, cholesky, solve_points_reference, sturm_bisection
 from quadvar.models import (
     GaussianAR1,
     GaussianMA,
@@ -17,11 +17,15 @@ from quadvar.models import (
     covariance_matrix,
     generate_paths,
 )
+import quadvar.spectral as spectral
 from quadvar.spectral import (
+    _STURM_VALUES,
     ConvergenceError,
     SpectralModel,
     _defining_residual,
+    _solve_points,
     _sturm_eigenvalues,
+    _sturm_levels,
     _tridiagonalise,
     density_from_stieltjes,
     density_grid,
@@ -175,6 +179,72 @@ def test_symmetric_eigenvalues_meet_lapack_error_bound(kind, p, scale, seed):
     assert steps <= 64
 
 
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# Both sides of every dimension at which a pass changes its number of levels.
+_LEVEL_EDGES = sorted(
+    {
+        q
+        for p in range(1, _STURM_VALUES + 1)
+        if _sturm_levels(p) != _sturm_levels(p + 1)
+        for q in (p, p + 1)
+    }
+)
+
+
+@given(
+    kind=st.sampled_from(["random", "repeated_diagonal", "block_diagonal", "rank_deficient"]),
+    p=st.one_of(st.sampled_from(_LEVEL_EDGES), st.integers(min_value=1, max_value=40)),
+    scale=st.sampled_from([1e-170, 1.0, 1e170]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_multisection_is_plain_bisection_bit_for_bit(kind, p, scale, seed):
+    d, e = _tridiagonalise(scale * _eigen_test_matrix(kind, p, seed))
+    values, steps = _sturm_eigenvalues(d, e)
+    reference, reference_steps = sturm_bisection(d, e)
+    assert steps == reference_steps
+    assert _same_bits(values, reference)
+
+
+def test_level_edges_span_every_depth():
+    assert _LEVEL_EDGES[0] == 1
+    assert {_sturm_levels(p) for p in _LEVEL_EDGES} == set(range(1, _sturm_levels(1) + 1))
+
+
+@pytest.mark.parametrize(
+    "d, e",
+    [
+        (np.zeros(1), np.zeros(0)),
+        (np.zeros(3), np.zeros(2)),
+        (np.array([0.0, 1.0, 0.0, 2.0]), np.zeros(3)),
+        (np.zeros(4), np.ones(3)),
+        (np.array([1.0, 1.0]), np.array([1.0])),
+        (np.array([1e-310, 1.0]), np.array([0.0])),
+    ],
+    ids=["zero_1", "zero_3", "zero_diagonal_entries", "path_graph", "ones_2x2", "subnormal"],
+)
+def test_multisection_pivot_guard_rerun_is_plain_bisection(d, e, monkeypatch):
+    """Each case meets a zero or subnormal pivot, so a pass reruns with the
+    guard; the result still has plain bisection's bits."""
+    guarded = []
+    unguarded = spectral._ldl_pivots
+
+    def record(d, e2, shifts, pivmin, guard):
+        guarded.append(guard)
+        return unguarded(d, e2, shifts, pivmin, guard)
+
+    monkeypatch.setattr(spectral, "_ldl_pivots", record)
+    values, steps = _sturm_eigenvalues(d, e)
+    reference, reference_steps = sturm_bisection(d, e)
+    assert any(guarded)
+    assert steps == reference_steps
+    assert _same_bits(values, reference)
+
+
 def test_eigen_alias_is_the_route():
     """The benchmark traces the eigen route by the identity of
     ``jacobi_eigenvalues`` and counts the dimension of every matrix passed to
@@ -314,6 +384,56 @@ def test_limit_stieltjes_matches_cubic_root_on_two_atom_models(
     assert abs(sv.m - root) <= 1e-10 * max(1.0, abs(root))
     assert sv.residual <= 1e-12
     assert sv.iterations <= 100
+
+
+def _assert_solver_matches_reference(lam, w, c, zs, tol, max_iter, m0=None):
+    got = _solve_points(lam, w, c, zs, tol, max_iter, m0)
+    want = solve_points_reference(lam, w, c, zs, tol, max_iter, m0)
+    assert _same_bits(got[0], want[0])  # m
+    assert _same_bits(got[1], want[1])  # residual
+    assert np.array_equal(got[2], want[2])  # iterations
+    return got
+
+
+def test_solver_matches_reference_one_point_at_a_time():
+    """The stieltjes_grid route: one solve per point of the 50-point grid."""
+    for x in np.linspace(-1.0, 8.0, 50):
+        zs = np.array([complex(x, 0.01)])
+        _assert_solver_matches_reference(
+            TWO_ATOM.lambdas, TWO_ATOM.weights, TWO_ATOM.c, zs, 1e-12, 10000
+        )
+
+
+def test_solver_matches_reference_on_warm_started_cdf_grid():
+    """The limit_cdf route on the Szegő AR(1) law: 320 points at both heights."""
+    law = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    xs = np.linspace(1e-9, 3.0 * (1.0 + math.sqrt(0.5)) ** 2 + 0.1, 320)
+    coarse, _, _ = _assert_solver_matches_reference(
+        law.lambdas, law.weights, law.c, xs + 4e-3j, 1e-8, 200000
+    )
+    _assert_solver_matches_reference(
+        law.lambdas, law.weights, law.c, xs + 2e-3j, 1e-8, 200000, m0=coarse
+    )
+
+
+def test_solver_matches_reference_above_c_one():
+    law = SpectralModel(atoms=((1.0, 0.5), (2.0, 0.5)), c=3.0)
+    zs = np.linspace(-1.0, 6.0, 40) + 0.05j
+    _assert_solver_matches_reference(law.lambdas, law.weights, law.c, zs, 1e-10, 1000)
+
+
+def test_solver_matches_reference_when_budget_runs_out():
+    """A point stopped by the budget returns its last step's residual, Newton
+    or companion, so every budget up to 10 steps shows that step's bits;
+    with the companion residual formed on the rejected points alone instead
+    of the whole unconverged set, budgets 7 and 9 gave other bits."""
+    law = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    zs = np.linspace(0.1, 6.0, 64) + 1e-3j
+    for max_iter in range(1, 11):
+        _, residual, iterations = _assert_solver_matches_reference(
+            law.lambdas, law.weights, law.c, zs, 1e-12, max_iter
+        )
+        assert np.any((iterations == max_iter) & (residual > 1e-12))
 
 
 def test_limit_stieltjes_recovers_from_spurious_damped_root():
