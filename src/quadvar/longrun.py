@@ -380,9 +380,8 @@ def estimate_lrv(path: SamplePath, kernel: Kernel, m: float) -> LRVEstimate:
         j_max = min(j_max, int(math.floor(kernel.support_radius * m)))
     total = float(x @ x)
     if j_max >= 1:
-        js = np.arange(1, j_max + 1)
-        weights = kernel_eval(kernel, js / m)
-        for j, w in zip(js, weights):
+        weights = kernel_eval(kernel, np.arange(1, j_max + 1) / m)
+        for j, w in enumerate(weights.tolist(), 1):
             if w != 0.0:
                 total += 2.0 * w * float(x[:-j] @ x[j:])
     return LRVEstimate(value=total / n, n=n, m=float(m), kernel=kernel)

@@ -122,13 +122,15 @@ def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
 
 
 def _rademacher_exact_fourth(model, a: np.ndarray) -> float:
-    p = a.size
+    coeffs = a.tolist()
     total = 0.0
-    for i in range(1, p + 1):
-        for j in range(1, p + 1):
-            for k in range(1, p + 1):
-                for l in range(1, p + 1):
-                    coeff = a[i - 1] * a[j - 1] * a[k - 1] * a[l - 1]
+    for i, ai in enumerate(coeffs, 1):
+        for j, aj in enumerate(coeffs, 1):
+            aij = ai * aj
+            for k, ak in enumerate(coeffs, 1):
+                aijk = aij * ak
+                for l, al in enumerate(coeffs, 1):
+                    coeff = aijk * al
                     if coeff != 0.0:
                         total += coeff * exact_product_moment(model, (i, j, k, l))
     return total

@@ -1,6 +1,7 @@
 """Config validation, canonical hashing, record emission, CLI exit codes."""
 
 import csv
+import itertools
 import json
 import math
 import os
@@ -10,11 +11,13 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from quadvar import runner
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
+from quadvar.models import RademacherIID, RademacherProductMDS
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
 
 
@@ -257,6 +260,30 @@ def test_lrv_mse_draws_one_block_per_sweep_point(monkeypatch):
     cfg = _lrv_config([[300, 2.0], [300, 8.0], [600, 4.0]], 5)
     run(cfg)
     assert calls == [((cfg.model, n, cfg.seed, 5), {}) for n, _ in cfg.sweep]
+
+
+@pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
+def test_rademacher_exact_fourth_keeps_every_moment_call(model, monkeypatch):
+    calls = []
+    moment = runner.exact_product_moment
+
+    def recording(model, indices):
+        calls.append(indices)
+        return moment(model, indices)
+
+    monkeypatch.setattr(runner, "exact_product_moment", recording)
+    for a in (np.ones(6), np.random.default_rng(3).standard_normal(5)):
+        calls.clear()
+        p = a.size
+        want = 0.0
+        for i in range(p):
+            for j in range(p):
+                for k in range(p):
+                    for l in range(p):
+                        coeff = a[i] * a[j] * a[k] * a[l]
+                        want += coeff * moment(model, (i + 1, j + 1, k + 1, l + 1))
+        assert runner._rademacher_exact_fourth(model, a) == want
+        assert calls == list(itertools.product(range(1, p + 1), repeat=4))
 
 
 # -------------------------------------------------------------------- emission
