@@ -21,8 +21,6 @@ any path is reproducible in isolation regardless of execution order.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Union
@@ -153,14 +151,10 @@ def _signs_to_paths(model: CovarianceModel, bits: np.ndarray) -> np.ndarray:
     bits (0 or 1), e = 2 bit - 1: X_t = e_t for ``RademacherIID`` and
     X_t = e_{t-1} e_t for ``RademacherProductMDS``."""
     if isinstance(model, RademacherIID):
-        paths = np.multiply(bits, 2.0)
-        paths -= 1.0
-        return paths
+        return bits * 2.0 - 1.0
     if isinstance(model, RademacherProductMDS):
         # e_{t-1} e_t = +1 exactly when the two driving bits agree.
-        paths = np.multiply(bits[:, :-1] ^ bits[:, 1:], -2.0)
-        paths += 1.0
-        return paths
+        return 1.0 - 2.0 * (bits[:, :-1] ^ bits[:, 1:])
     raise TypeError(f"{model!r} is not a sign model")
 
 
@@ -295,14 +289,14 @@ def _ar1_recursion(block: np.ndarray, rho: float) -> None:
 _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 
-# Words per sign row up to which ``_philox_words`` keys every row of a block
-# at once; longer rows re-key numpy's Philox once per row.  A row costs the
-# loop a few microseconds and a word costs the kernel about 70 ns, so the
-# kernel wins on short rows only.  On blocks of 2**18 words (2 vCPU Xeon,
-# median of 3) the kernel took 0.017-0.021 s at every width, and the loop
-# 0.091 s at 8 words a row, 0.060 s at 16, 0.033 s at 32, 0.019 s at 40,
-# 0.018 s at 48, 0.014 s at 64 and 0.011 s at 128.
-_ROW_WORDS = 32
+# (row, block) pairs ``_philox_words`` keys at a time.  Its nine uint64
+# buffers hold one value a pair, so they stay in cache and do not grow with
+# the block.  On blocks of 2**18 words (2 vCPU Xeon, median of 9) tiles of
+# 2**12 took 0.014-0.066 s over 1-512 words a row, 2**14 0.008-0.035 s and
+# 2**16 0.013-0.049 s.  At 2**14 the kernel beat re-keying numpy's Philox
+# once per row up to 64 words a row (0.012 s against 0.016 s at 64), tied
+# at 128 and lost at 512 (0.008 s against 0.004 s).
+_PHILOX_TILE = 2**14
 
 
 def _mulhi(
@@ -328,21 +322,21 @@ def _mulhi(
     np.add(hi, u, out=hi)
 
 
-def _philox_words(seed: int, rows: int, n_words: int) -> np.ndarray:
-    """The first ``n_words`` words of numpy's ``Philox(key=[seed, r])`` for
-    r < rows, as a (rows, n_words) uint64 array, with every row keyed at once.
+def _philox_tile(seed: int, rows: range, blocks: range) -> tuple[np.ndarray, ...]:
+    """Philox4x64-10 block b of numpy's ``Philox(key=[seed, r])`` for r in
+    ``rows`` and b in ``blocks``, as four (rows, blocks) uint64 lanes.
 
-    Block b of a row is Philox4x64-10 of the counter (b + 1, 0, 0, 0) under
-    the key (seed, r): numpy bumps the counter before each block, and it
-    never carries out of its low word.  The four counter lanes are
-    (rows, blocks) arrays updated in place.
+    Block b is the cipher of the counter (b + 1, 0, 0, 0) under the key
+    (seed, r): numpy bumps the counter before each block, and it never
+    carries out of its low word.  The lanes are updated in place.
     """
-    blocks = -(-n_words // 4)
-    v0, v1, v2, v3 = (np.zeros((rows, blocks), dtype=np.uint64) for _ in range(4))
-    v0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
-    scratch = [np.empty((rows, blocks), dtype=np.uint64) for _ in range(4)]
+    shape = (len(rows), len(blocks))
+    v0, v1, v2, v3 = (np.zeros(shape, dtype=np.uint64) for _ in range(4))
+    v0[:] = np.arange(blocks.start + 1, blocks.stop + 1, dtype=np.uint64)
+    scratch = [np.empty(shape, dtype=np.uint64) for _ in range(4)]
     hi = scratch[0]
-    k0, k1 = seed & _MASK64, np.arange(rows, dtype=np.uint64)[:, None]
+    k0 = seed & _MASK64
+    k1 = np.arange(rows.start, rows.stop, dtype=np.uint64)[:, None]
     for round_ in range(10):
         if round_:
             k0 = (k0 + _PHILOX_W[0]) & _MASK64
@@ -355,11 +349,26 @@ def _philox_words(seed: int, rows: int, n_words: int) -> np.ndarray:
             np.bitwise_xor(out, key, out=out)
             np.multiply(a, m, out=a)
         v0, v1, v2, v3 = v1, v2, v3, v0
+    return v0, v1, v2, v3
+
+
+def _philox_words(seed: int, rows: int, n_words: int) -> np.ndarray:
+    """The first ``n_words`` words of numpy's ``Philox(key=[seed, r])`` for
+    r < rows, as a (rows, n_words) uint64 array, keyed a tile of at most
+    ``_PHILOX_TILE`` (row, block) pairs at a time.
+    """
+    blocks = -(-n_words // 4)
+    tile_blocks = min(blocks, _PHILOX_TILE)
+    tile_rows = _PHILOX_TILE // tile_blocks
     words = np.empty((rows, n_words), dtype=np.uint64)
-    for i, lane in enumerate((v0, v1, v2, v3)):
-        # word 4 b + i of a row is lane i of block b
-        out = words[:, i::4]
-        out[...] = lane[:, : out.shape[1]]
+    for r in range(0, rows, tile_rows):
+        tile_r = range(r, min(r + tile_rows, rows))
+        for b in range(0, blocks, tile_blocks):
+            tile_b = range(b, min(b + tile_blocks, blocks))
+            for i, lane in enumerate(_philox_tile(seed, tile_r, tile_b)):
+                # word 4 b + i of a row is lane i of block b
+                out = words[r : tile_r.stop, 4 * b + i : 4 * tile_b.stop : 4]
+                out[...] = lane[:, : out.shape[1]]
     return words
 
 
@@ -369,10 +378,9 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     Row r is drawn from stream (seed, r) and equals what ``path_rng(seed, r)``
     yields through ``standard_normal`` (Gaussian models) or
     ``integers(0, 2)`` (sign models) followed by the model's transform.
-    Sign rows of at most ``_ROW_WORDS`` Philox words are keyed all at once
-    by ``_philox_words``.  Every other block is drawn from one Philox
-    generator that each row re-keys to (seed, r) with a fresh counter,
-    instead of building a new generator.
+    Sign blocks are keyed all at once by ``_philox_words``.  Gaussian blocks
+    are drawn from one Philox generator that each row re-keys to (seed, r)
+    with a fresh counter, instead of building a new generator.
 
     The AR(1) recursion x_t = fl(fl(rho x_{t-1}) + w_t) gives the bits of a
     loop over the columns without one Python step per column.  Each row is
@@ -391,6 +399,16 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     if p < 1 or count < 1:
         raise ValueError("p and count must be >= 1")
     width = _innovation_width(model, p)
+    if isinstance(model, (RademacherIID, RademacherProductMDS)):
+        # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
+        # draw, low half first, and keeps the top bit of that half: bits 31
+        # and 63 of each word, in that order.
+        words = _philox_words(seed, count, (width + 1) // 2)
+        bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
+        bits[:, 0::2] = (words >> 31) & 1
+        bits[:, 1::2] = words >> 63
+        return _signs_to_paths(model, bits[:, :width])
+
     bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
     # The state setter reads plain ints and lists faster than the ndarray
     # entries the getter returns, so re-key through a converted copy.
@@ -405,24 +423,6 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     def rekey(r: int) -> None:
         key[1] = r & _MASK64
         bitgen.state = state
-
-    if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
-        # draw, low half first, and keeps the top bit of that half: bits 31
-        # and 63 of each word, in that order.
-        n_words = (width + 1) // 2
-        if n_words <= _ROW_WORDS:
-            words = _philox_words(seed, count, n_words)
-        else:
-            words = np.empty((count, n_words), dtype=np.uint64)
-            for r in range(count):
-                rekey(r)
-                words[r] = bitgen.random_raw(n_words)
-        bits = np.empty((count, 2 * n_words), dtype=np.uint8)
-        bits[:, 1::2] = words >> 63
-        words >>= 31
-        bits[:, 0::2] = words & 1
-        return _signs_to_paths(model, bits[:, :width])
 
     gen = np.random.Generator(bitgen)
     block = np.empty((count, width))
@@ -663,32 +663,38 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
     w = _ENUM_WINDOW
     width = _innovation_width(model, w)
     idx = np.arange(2**width, dtype=np.int64)
-    # row s of x holds X_{s+1} over every sign configuration
-    x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1).T.copy()
+    x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
 
-    def mean(*rows):
-        # every product is +-1 and every mean a multiple of 2**-width, so
-        # the sums are exact and their order does not matter
-        return functools.reduce(np.multiply, (x[r] for r in rows)).mean(axis=1)
-
-    def raise_to(envelope, gaps, values):
-        for gap, value in zip(gaps.tolist(), values.tolist()):
-            if gap <= max_lag:
-                envelope[gap - 1] = max(envelope[gap - 1], value)
+    def mean_prod(*cols):
+        prod = np.ones(x.shape[0])
+        for c in cols:
+            prod = prod * x[:, c]
+        return float(prod.mean())
 
     phi = np.zeros(max_lag)
     phi_sq = np.zeros(max_lag)
-    i, j = np.array(list(itertools.combinations(range(w), 2))).T
-    raise_to(phi, j - i, np.abs(mean(i, j) - mean(i) * mean(j)))
-    sq = x * x
-    e_sq = sq.mean(axis=1)
-    raise_to(phi_sq, j - i, (sq[i] * sq[j]).mean(axis=1) - e_sq[i] * e_sq[j])
-    i, j, k, l = np.array(list(itertools.combinations(range(w), 4))).T
-    e4 = mean(i, j, k, l)
-    raise_to(phi, j - i, np.abs(e4 - mean(i) * mean(j, k, l)))
-    raise_to(phi, l - k, np.abs(e4 - mean(i, j, k) * mean(l)))
-    raise_to(phi, k - j, np.abs(e4 - mean(i, j) * mean(k, l)))
-    fourth = float((x[0] ** 4).mean())
+    for i in range(w):
+        for j in range(i + 1, w):
+            gap = j - i
+            pair = abs(mean_prod(i, j) - mean_prod(i) * mean_prod(j))
+            sq = float((x[:, i] ** 2 * x[:, j] ** 2).mean()) - float(
+                (x[:, i] ** 2).mean()
+            ) * float((x[:, j] ** 2).mean())
+            if gap <= max_lag:
+                phi[gap - 1] = max(phi[gap - 1], pair)
+                phi_sq[gap - 1] = max(phi_sq[gap - 1], sq)
+    for i in range(w):
+        for j in range(i + 1, w):
+            for k in range(j + 1, w):
+                for l in range(k + 1, w):
+                    e4 = mean_prod(i, j, k, l)
+                    one_three = abs(e4 - mean_prod(i) * mean_prod(j, k, l))
+                    three_one = abs(e4 - mean_prod(i, j, k) * mean_prod(l))
+                    two_two = abs(e4 - mean_prod(i, j) * mean_prod(k, l))
+                    for gap, val in ((j - i, one_three), (l - k, three_one), (k - j, two_two)):
+                        if gap <= max_lag:
+                            phi[gap - 1] = max(phi[gap - 1], val)
+    fourth = float((x[:, 0] ** 4).mean())
     lags = np.arange(1, max_lag + 1, dtype=float)
     return DependenceProfile(
         phi=phi,

@@ -8,13 +8,6 @@ import math
 
 import numpy as np
 
-from quadvar.models import (
-    _ENUM_WINDOW,
-    DependenceProfile,
-    _innovation_width,
-    _signs_to_paths,
-)
-
 
 class NotPositiveDefiniteError(ValueError):
     """Cholesky met a non-positive pivot; ``pivot_index`` says where."""
@@ -165,57 +158,3 @@ def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
         )
         iterations[todo] += 1
     return m, residual, iterations
-
-
-def enumerated_profile_reference(model, max_lag: int) -> DependenceProfile:
-    """The sign-model dependence profile by one mean per index tuple and
-    family, maximised gap by gap in a plain loop.
-
-    The package forms every family as array ops over the index tuples; its
-    fields must equal these bit for bit.
-    """
-    w = _ENUM_WINDOW
-    width = _innovation_width(model, w)
-    idx = np.arange(2**width, dtype=np.int64)
-    x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
-
-    def mean_prod(*cols):
-        prod = np.ones(x.shape[0])
-        for c in cols:
-            prod = prod * x[:, c]
-        return float(prod.mean())
-
-    phi = np.zeros(max_lag)
-    phi_sq = np.zeros(max_lag)
-    for i in range(w):
-        for j in range(i + 1, w):
-            gap = j - i
-            pair = abs(mean_prod(i, j) - mean_prod(i) * mean_prod(j))
-            sq = float((x[:, i] ** 2 * x[:, j] ** 2).mean()) - float(
-                (x[:, i] ** 2).mean()
-            ) * float((x[:, j] ** 2).mean())
-            if gap <= max_lag:
-                phi[gap - 1] = max(phi[gap - 1], pair)
-                phi_sq[gap - 1] = max(phi_sq[gap - 1], sq)
-    for i in range(w):
-        for j in range(i + 1, w):
-            for k in range(j + 1, w):
-                for l in range(k + 1, w):
-                    e4 = mean_prod(i, j, k, l)
-                    one_three = abs(e4 - mean_prod(i) * mean_prod(j, k, l))
-                    three_one = abs(e4 - mean_prod(i, j, k) * mean_prod(l))
-                    two_two = abs(e4 - mean_prod(i, j) * mean_prod(k, l))
-                    for gap, val in ((j - i, one_three), (l - k, three_one), (k - j, two_two)):
-                        if gap <= max_lag:
-                            phi[gap - 1] = max(phi[gap - 1], val)
-    fourth = float((x[:, 0] ** 4).mean())
-    lags = np.arange(1, max_lag + 1, dtype=float)
-    return DependenceProfile(
-        phi=phi,
-        phi_sq=phi_sq,
-        fourth_moment_sup=fourth,
-        phi_lag_weighted_sum=float(lags @ phi),
-        phi_sq_sum=float(phi_sq.sum()),
-        max_lag=max_lag,
-        min_double_sum=float((2.0 * lags - 1.0) @ phi),
-    )

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerated_profile_reference, parity_moment
+from oracles import parity_moment
 from quadvar import models
 from quadvar.models import (
     DependenceProfile,
@@ -224,63 +224,56 @@ def _oracle_row(model, p, seed, r):
     return e[:-1] * e[1:]
 
 
-def _spy_philox_words(monkeypatch):
-    """Record the word count of each block ``_philox_words`` draws."""
-    drawn = []
-    real = models._philox_words
-
-    def spy(seed, rows, n_words):
-        drawn.append(n_words)
-        return real(seed, rows, n_words)
-
-    monkeypatch.setattr(models, "_philox_words", spy)
-    return drawn
-
-
 @pytest.mark.parametrize("model", ALL_MODELS)
 @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
-def test_generate_paths_matches_per_row_generators(model, seed, monkeypatch):
+def test_generate_paths_matches_per_row_generators(model, seed):
     # p = 8 and 9 give both parities of innovation width for every model;
-    # the sign models pack two draws into each 64-bit Philox word.
-    sizes = [(1, 1), (1, 1000), (8, 1000), (9, 3)]
-    sign = isinstance(model, (RademacherIID, RademacherProductMDS))
-    if sign:
-        # the longest rows the vector kernel draws, and the shortest above
-        last = 2 * models._ROW_WORDS - (_innovation_width(model, 1) - 1)
-        sizes += [(last, 7), (last + 1, 7)]
-    drawn = _spy_philox_words(monkeypatch)
-    for p, count in sizes:
+    # the sign models pack two draws into each 64-bit Philox word, and
+    # p = 130 spans 17 Philox blocks of four words.
+    for p, count in ((1, 1), (1, 1000), (8, 1000), (9, 3), (130, 7)):
         block = generate_paths(model, p, seed, count)
         assert block.shape == (count, p)
         assert block.flags.c_contiguous
         for r in range(count):
             assert _same_bits(_oracle_row(model, p, seed, r), block[r])
-    if sign:
-        words = [(_innovation_width(model, p) + 1) // 2 for p, _ in sizes]
-        assert words[-2:] == [models._ROW_WORDS, models._ROW_WORDS + 1]
-        assert drawn == words[:-1]
-    else:
-        assert drawn == []
 
 
 @given(
     seed=st.sampled_from([0, 2**63, 2**64 - 1]),
     rows=st.integers(min_value=1, max_value=45),
-    n_words=st.integers(min_value=1, max_value=models._ROW_WORDS),
+    n_words=st.integers(min_value=1, max_value=70),
+    tile=st.sampled_from([5, 16, models._PHILOX_TILE]),
 )
 @settings(max_examples=60, deadline=None)
 @pytest.mark.filterwarnings("error")
-def test_philox_words_match_numpy_philox(seed, rows, n_words):
-    words = models._philox_words(seed, rows, n_words)
+def test_philox_words_match_numpy_philox(seed, rows, n_words, tile):
+    # small tiles cut a block across its rows and across each row's blocks
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(models, "_PHILOX_TILE", tile)
+        words = models._philox_words(seed, rows, n_words)
     assert words.dtype == np.uint64 and words.shape == (rows, n_words)
     for r in range(rows):
         key = np.array([seed, r], dtype=np.uint64)
         assert np.array_equal(words[r], np.random.Philox(key=key).random_raw(n_words))
 
 
+@pytest.mark.parametrize("rows, n_words", [(300_000, 1), (40_000, 9), (3, 70_000)])
+def test_philox_words_hold_one_tile_of_buffers(rows, n_words):
+    models._philox_words(1, 10, 1)  # numpy's lazy set-up is not counted
+    tracemalloc.start()
+    try:
+        words = models._philox_words(1, rows, n_words)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # nine buffers, the counter start and the row keys of one tile, however
+    # many rows the block has
+    assert peak <= words.nbytes + 11 * 8 * models._PHILOX_TILE
+
+
 @pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
-@pytest.mark.parametrize("p", [1, 16, 2 * models._ROW_WORDS - 1])
-def test_sign_generation_allocates_the_block_words_and_a_few_buffers(model, p):
+@pytest.mark.parametrize("p", [1, 16, 127])
+def test_sign_generation_allocates_the_block_its_words_and_one_tile(model, p):
     rows = 3000
     generate_paths(model, p, 1, 10)  # numpy's lazy set-up is not counted
     tracemalloc.start()
@@ -289,11 +282,10 @@ def test_sign_generation_allocates_the_block_words_and_a_few_buffers(model, p):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # next to the words the kernel holds four counter lanes, four scratch
-    # arrays and the row keys, each of at most one word a block of four
+    # the paths and one temporary of their size, the words (8 bytes), their
+    # bits (2 bytes) and a one-byte temporary a sign each, and one tile
     n_words = (_innovation_width(model, p) + 1) // 2
-    buffer = rows * -(-n_words // 4) * 8
-    assert peak <= block.nbytes + rows * n_words * 8 + 9 * buffer
+    assert peak <= 2 * block.nbytes + 12 * rows * n_words + 11 * 8 * models._PHILOX_TILE
 
 
 SCAN_RHOS = [-0.95, -0.5, 0.0, 0.3, 0.5, 0.9, 0.999]
@@ -416,25 +408,6 @@ def test_ar1_profile_closed_form():
         3.0 * rho / (1.0 - rho) ** 2, rel=1e-12
     )
     assert profile.phi_sq_sum == pytest.approx(2.0 * rho**2 / (1.0 - rho**2), rel=1e-12)
-
-
-@pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
-@pytest.mark.parametrize("max_lag", [1, 3, 8, 64])
-def test_enumerated_profile_matches_the_tuple_loop(model, max_lag):
-    got = dependence_profile(model, max_lag)
-    want = enumerated_profile_reference(model, max_lag)
-    for name in ("phi", "phi_sq"):
-        assert _same_bits(getattr(want, name), getattr(got, name))
-    for name in (
-        "fourth_moment_sup",
-        "phi_lag_weighted_sum",
-        "phi_sq_sum",
-        "max_lag",
-        "tail_coeff",
-        "tail_ratio",
-        "min_double_sum",
-    ):
-        assert getattr(got, name) == getattr(want, name), name
 
 
 def test_rademacher_profiles_are_trivial():
