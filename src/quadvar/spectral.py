@@ -22,8 +22,10 @@ When the driving path itself is serially dependent, E[(Gx)(Gx)'] is no longer
 G G'; ``effective_spectral_model`` converts a (model, target) pair into the
 atom law of the covariance actually realised, which is the input the limit
 equation needs.  It takes that law from its Szegő limit, lambda_k f(theta)
-with f the model's spectral density, on a fixed midpoint grid in theta, and
-makes no eigenvalue call.
+with f the model's spectral density and theta uniform on [0, pi], and makes
+no eigenvalue call.  For AR(1) the solver averages over theta in closed form,
+so the law keeps its declared atoms and carries rho; other models take f on a
+fixed midpoint grid in theta.
 """
 
 from __future__ import annotations
@@ -67,10 +69,18 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class SpectralModel:
-    """Finite-atom limiting population spectrum plus the ratio c = p/n."""
+    """Finite-atom limiting population spectrum plus the ratio c = p/n.
+
+    With rho != 0 each atom lambda_k stands for the Szegő law of
+    lambda_k f(theta), f = (1 - rho^2) / (1 - 2 rho cos theta + rho^2) the
+    AR(1) spectral density and theta uniform on [0, pi]: the reference law of
+    AR(1) columns, which the limit-law solver averages over theta in closed
+    form.  Such a law is not a population (``population_sigma`` rejects it).
+    """
 
     atoms: tuple[tuple[float, float], ...]
     c: float
+    rho: float = 0.0
 
     def __post_init__(self):
         if len(self.atoms) == 0:
@@ -88,6 +98,8 @@ class SpectralModel:
             raise ValueError(f"atom weights must sum to 1, got {w.sum()!r}")
         if not (np.isfinite(self.c) and self.c > 0.0):
             raise ValueError(f"c must be a positive real, got {self.c}")
+        if not abs(self.rho) < 1.0:
+            raise ValueError(f"rho must lie in (-1, 1), got {self.rho}")
         object.__setattr__(self, "atoms", atoms)
 
     @property
@@ -104,8 +116,11 @@ def population_sigma(law: SpectralModel, p: int) -> np.ndarray:
 
     Multiplicities are floor(w*p) topped up by largest remainder; remainder
     ties go to the smaller eigenvalue.  The result's spectral distribution
-    converges weakly to the atom law as p grows.
+    converges weakly to the atom law as p grows.  A law with rho != 0 is a
+    reference law, not a population, and raises ValueError.
     """
+    if law.rho != 0.0:
+        raise ValueError(f"a law with rho = {law.rho} is a reference law, not a population")
     n_atoms = len(law.atoms)
     if p < n_atoms:
         raise ValueError(f"p = {p} cannot host {n_atoms} atoms")
@@ -355,13 +370,60 @@ class StieltjesValue:
     iterations: int
 
 
-def _defining_residual(lam, w, c, zs, m):
-    """|m - F(m)| for the limit equation, vectorised over the z axis."""
-    denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
-    return np.abs(m - (w[:, None] / denom).sum(axis=0))
+def _szego_sums(lam, w, rho, v):
+    """t(v) = sum_k w_k E[lambda_k f / (1 + lambda_k f v)] and -t'(v), with E
+    over theta uniform on [0, pi] and f the AR(1) spectral density.
+
+    With u_k = lambda_k (1 - rho^2), alpha_k = 1 + rho^2 + u_k v and
+    R_k = sqrt(alpha_k - 2 rho) sqrt(alpha_k + 2 rho), principal roots, the
+    average is u_k / R_k, and its derivative -u_k^2 alpha_k / R_k^3.  For
+    Im v > 0 both factors of R_k lie in the upper half-plane, so neither
+    root crosses its branch cut.
+    """
+    u = (lam * (1.0 - rho * rho))[:, None]
+    alpha = (1.0 + rho * rho) + u * v[None, :]
+    inv_root = 1.0 / (np.sqrt(alpha - 2.0 * rho) * np.sqrt(alpha + 2.0 * rho))
+    terms = (w[:, None] * u) * inv_root
+    t = terms.sum(axis=0)
+    terms *= u * alpha * inv_root * inv_root
+    return t, terms.sum(axis=0)
 
 
-def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
+def _defining_residual(lam, w, c, zs, m, rho=0.0):
+    """|m - F(m)| for the limit equation, vectorised over the z axis.
+
+    For rho != 0, F(m) = -sum_k w_k E[1 / (1 + lambda_k f v)] / z with
+    v = -(1 - c - c z m) / z, and the average is 1 - u_k v / R_k.
+    """
+    a = 1.0 - c - c * zs * m
+    if rho == 0.0:
+        denom = lam[:, None] * a[None, :] - zs[None, :]
+        return np.abs(m - (w[:, None] / denom).sum(axis=0))
+    v = -a / zs
+    t, _ = _szego_sums(lam, w, rho, v)
+    return np.abs(m + (w.sum() - v * t) / zs)
+
+
+def _atom_sums(lam, w, rho, z, a):
+    """s1 = -t / z and s2 = -t' / z^2 at v = -a / z, over atoms x points blocks.
+
+    For rho == 0, s1 = sum_k w_k lambda_k inv_k and s2 = the same with
+    lambda_k^2 inv_k^2, inv_k = 1 / (lambda_k a - z) = -1 / (z (1 + lambda_k v)),
+    the blocks formed in place to hold fewer at once.
+    """
+    if rho == 0.0:
+        inv = lam[:, None] * a[None, :]
+        inv -= z[None, :]
+        np.divide(1.0, inv, out=inv)
+        s1 = ((w * lam)[:, None] * inv).sum(axis=0)
+        term = (w * lam * lam)[:, None] * inv
+        term *= inv
+        return s1, term.sum(axis=0)
+    t, minus_dt = _szego_sums(lam, w, rho, -a / z)
+    return -t / z, minus_dt / (z * z)
+
+
+def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     """Solve the limit equation at every z of ``zs`` independently.
 
     Works on the companion variable v = -(1-c)/z + c m, the root of
@@ -379,7 +441,9 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
     The state kept is m, not v: with D_k = lambda_k (1 - c - c z m) - z,
     1 + lambda_k v = -D_k / z, so every step is formed from D, and m is never
     recovered from v, which would cancel (1-c)/z against c m when |z| is
-    small.  The sums over atoms are ufunc reductions, not BLAS calls.
+    small.  The sums over atoms are ufunc reductions, not BLAS calls.  With
+    rho != 0 each atom's term is its average over theta in closed form
+    (``_szego_sums``); only those sums depend on rho.
 
     Their bits depend on the shape of the block they run in: one point's
     column alone is a 1-D pairwise sum, while inside an atoms x points block
@@ -399,33 +463,22 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
         m0 = np.asarray(m0, dtype=complex)
         v0 = c * m0 - drift
         m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
-    residual = _defining_residual(lam, w, c, zs, m)
+    residual = _defining_residual(lam, w, c, zs, m, rho)
     iterations = np.zeros(zs.shape, dtype=int)
-    lam_col = lam[:, None]
-    w_lam = (w * lam)[:, None]
-    w_lam2 = (w * lam * lam)[:, None]
     for _ in range(max_iter):
         todo = ((residual > tol) | (m.imag <= 0.0)).nonzero()[0]
         if todo.size == 0:
             break
         z, mt, cz_t = zs[todo], m[todo], cz[todo]
         a = 1.0 - c - cz_t * mt  # = -z v
-        # atoms x points blocks, formed in place to hold fewer at once
-        inv = lam_col * a[None, :]
-        inv -= z[None, :]
-        np.divide(1.0, inv, out=inv)  # = -1 / (z (1 + lambda v))
-        s1 = (w_lam * inv).sum(axis=0)  # t = -z s1
-        term = w_lam2 * inv
-        term *= inv
-        s2 = term.sum(axis=0)  # t' = -z^2 s2
-        del inv, term  # the residuals below allocate blocks of the same size
+        s1, s2 = _atom_sums(lam, w, rho, z, a)  # t = -z s1, t' = -z^2 s2
         g = 1.0 + c * s1  # z - c t = z g
         h = 1.0 - a * g  # h = v (z - c t) + 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             step = h / (cz_t * (g - c * a * s2))  # h / (c h'), h' = z (g - c a s2)
             m_newton = mt - step
             v_newton = c * m_newton - drift[todo]
-            res_newton = _defining_residual(lam, w, c, z, m_newton)
+            res_newton = _defining_residual(lam, w, c, z, m_newton, rho)
         # a NaN residual fails the comparison, so a kept step is finite
         newton = (v_newton.imag > 0.0) & (m_newton.imag > 0.0) & (res_newton < residual[todo])
         if newton.all():
@@ -435,7 +488,7 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None):
             m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
             m[todo] = np.where(newton, m_newton, m_companion)
             residual[todo] = np.where(
-                newton, res_newton, _defining_residual(lam, w, c, z, m_companion)
+                newton, res_newton, _defining_residual(lam, w, c, z, m_companion, rho)
             )
         iterations[todo] += 1
     return m, residual, iterations
@@ -459,7 +512,7 @@ def limit_stieltjes(
     z = _require_upper_half(z)
     zs = np.array([z], dtype=complex)
     m_arr, res_arr, iter_arr = _solve_points(
-        law.lambdas, law.weights, law.c, zs, tol, max_iter
+        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
     )
     m = complex(m_arr[0])
     residual = float(res_arr[0])
@@ -529,7 +582,9 @@ def density_grid(
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
     zs = xs + 1j * epsilon
-    m, residual, _ = _solve_points(law.lambdas, law.weights, law.c, zs, tol, max_iter)
+    m, residual, _ = _solve_points(
+        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
+    )
     if bool((residual > tol).any()):
         worst = int(np.argmax(residual))
         raise ConvergenceError(
@@ -553,7 +608,9 @@ def limit_cdf(
     half-plane kernel is even in the height, so Im m carries an O(epsilon^2)
     error that (4 m_eps - m_2eps)/3 cancels.  The density is then integrated
     over a grid spanning the support (edges bounded by
-    lambda*(1 -+ sqrt(c))^2, widened by ``margin``), the (1 - 1/c) point mass
+    lambda*(1 -+ sqrt(c))^2, lambda running over the population support
+    lambda_k [(1 - |rho|)/(1 + |rho|), (1 + |rho|)/(1 - |rho|)], widened by
+    ``margin``), the (1 - 1/c) point mass
     at zero is added when c > 1, and the total is rescaled to exactly one so
     the O(epsilon) mass smoothed past the edges does not bias comparisons.
     """
@@ -562,14 +619,17 @@ def limit_cdf(
     if float(lam.min()) <= 0.0:
         raise ValueError("limit_cdf needs strictly positive atoms")
     sqrt_c = math.sqrt(law.c)
-    lower = max(0.0, float(lam.min()) * (1.0 - sqrt_c) ** 2 - margin)
-    upper = float(lam.max()) * (1.0 + sqrt_c) ** 2 + margin
+    spread = (1.0 + abs(law.rho)) / (1.0 - abs(law.rho))
+    lower = max(0.0, float(lam.min()) / spread * (1.0 - sqrt_c) ** 2 - margin)
+    upper = float(lam.max()) * spread * (1.0 + sqrt_c) ** 2 + margin
     xs = np.linspace(max(lower, 1e-9), upper, points)
     tol = 1e-8
     budget = 200000
-    m_coarse, res_c, _ = _solve_points(lam, w, law.c, xs + 2j * epsilon, tol, budget)
+    m_coarse, res_c, _ = _solve_points(
+        lam, w, law.c, xs + 2j * epsilon, tol, budget, rho=law.rho
+    )
     m_fine, res_f, _ = _solve_points(
-        lam, w, law.c, xs + 1j * epsilon, tol, budget, m0=m_coarse
+        lam, w, law.c, xs + 1j * epsilon, tol, budget, m0=m_coarse, rho=law.rho
     )
     worst = float(max(res_c.max(), res_f.max()))
     if worst > tol:
@@ -608,17 +668,15 @@ def kolmogorov_distance(esd, cdf) -> float:
     return float(np.max(np.maximum(np.abs(steps_hi - ref), np.abs(steps_lo - ref))))
 
 
-# Nodes of the midpoint rule for the Szegő limit law: a power of two, so every
-# weight w_k / N is exact.
+# Nodes of the midpoint rule for the Szegő limit law of models other than
+# AR(1) (MA(q) has no closed-form average over theta): a power of two, so
+# every weight w_k / N is exact.
 _SZEGO_NODES = 128
 
 
 def _spectral_density(model: CovarianceModel, theta: np.ndarray) -> np.ndarray:
     """f(theta) = C(0) + 2 sum_j C(j) cos(j theta), the spectral density
-    normalised to mean 1 over [0, pi]; AR(1) in closed form."""
-    if isinstance(model, GaussianAR1):
-        rho = model.rho
-        return (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(theta) + rho * rho)
+    normalised to mean 1 over [0, pi], of any model but a dependent AR(1)."""
     order = model.order if isinstance(model, GaussianMA) else 0
     acf = autocovariance(model, np.arange(order + 1))
     lags = np.arange(1, order + 1)
@@ -633,12 +691,17 @@ def effective_spectral_model(model: CovarianceModel, law: SpectralModel) -> Spec
     model's Toeplitz autocovariance), not G G'.  With G from
     ``population_sigma`` its spectrum tends to the law of lambda_k f(theta),
     k drawn with weight w_k and theta uniform on [0, pi] (Tilli, Linear
-    Algebra Appl. 278, 1998), f the spectral density of ``_spectral_density``.
-    The midpoint rule theta_i = (i + 1/2) pi / N, N = 128, gives the atoms
-    (lambda_k f(theta_i), w_k / N).  The sums are ufunc reductions, so the
-    atoms do not depend on the BLAS thread count.  A white-noise model has
-    f = 1 at every node, and the input law is returned unchanged.
+    Algebra Appl. 278, 1998), f the model's spectral density.  An AR(1)
+    model with rho != 0 keeps the declared atoms and sets ``rho``, and the
+    limit-law solver averages over theta in closed form.  For the other
+    models (MA) the midpoint rule theta_i = (i + 1/2) pi / N, N = 128, gives
+    the atoms (lambda_k f(theta_i), w_k / N) with f from
+    ``_spectral_density``; its sums are ufunc reductions, so the atoms do not
+    depend on the BLAS thread count.  A white-noise model has f = 1 at every
+    node, and the input law is returned unchanged.
     """
+    if isinstance(model, GaussianAR1) and model.rho != 0.0:
+        return SpectralModel(atoms=law.atoms, c=law.c, rho=model.rho)
     theta = (np.arange(_SZEGO_NODES) + 0.5) * (math.pi / _SZEGO_NODES)
     f = _spectral_density(model, theta)
     if np.all(f == 1.0):

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from quadvar.spectral import SpectralModel
+
 
 class NotPositiveDefiniteError(ValueError):
     """Cholesky met a non-positive pivot; ``pivot_index`` says where."""
@@ -158,3 +160,19 @@ def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
         )
         iterations[todo] += 1
     return m, residual, iterations
+
+
+def szego_midpoint_law(model, law, nodes) -> SpectralModel:
+    """The Szegő limit law of AR(1) columns on a midpoint grid in theta:
+    atoms (lambda_k f(theta_i), w_k / nodes), theta_i = (i + 1/2) pi / nodes,
+    f = (1 - rho^2) / (1 - 2 rho cos theta + rho^2).
+
+    The package averages over theta in closed form instead; with nodes a
+    power of two every weight is exact.
+    """
+    rho = model.rho
+    theta = (np.arange(nodes) + 0.5) * (math.pi / nodes)
+    f = (1.0 - rho * rho) / (1.0 - 2.0 * rho * np.cos(theta) + rho * rho)
+    lam = np.multiply.outer(law.lambdas, f).ravel()
+    weight = np.repeat(law.weights / nodes, nodes)
+    return SpectralModel(atoms=tuple(zip(lam.tolist(), weight.tolist())), c=law.c)

@@ -8,7 +8,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Polynomial
 
-from oracles import NotPositiveDefiniteError, cholesky, solve_points_reference, sturm_bisection
+from oracles import (
+    NotPositiveDefiniteError,
+    cholesky,
+    solve_points_reference,
+    sturm_bisection,
+    szego_midpoint_law,
+)
 from quadvar.models import (
     GaussianAR1,
     GaussianMA,
@@ -26,6 +32,7 @@ from quadvar.spectral import (
     _solve_points,
     _sturm_eigenvalues,
     _sturm_levels,
+    _szego_sums,
     _tridiagonalise,
     density_from_stieltjes,
     density_grid,
@@ -53,6 +60,9 @@ def test_spectral_model_rejects_bad_weights():
         SpectralModel(atoms=((1.0, 0.4), (2.0, 0.4)), c=0.5)
     with pytest.raises(ValueError):
         SpectralModel(atoms=((1.0, 1.0),), c=0.0)
+    for rho in (1.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            SpectralModel(atoms=((1.0, 1.0),), c=0.5, rho=rho)
 
 
 def test_population_sigma_largest_remainder_ties_to_smaller_atom():
@@ -66,6 +76,14 @@ def test_population_sigma_largest_remainder_ties_to_smaller_atom():
 def test_population_sigma_exact_split():
     Sigma = population_sigma(TWO_ATOM, 4)
     assert sorted(np.diag(Sigma)) == [1.0, 1.0, 3.0, 3.0]
+
+
+def test_population_sigma_rejects_a_reference_law():
+    reference = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    with pytest.raises(ValueError, match="reference law"):
+        population_sigma(reference, 4)
+    with pytest.raises(ValueError, match="reference law"):
+        sample_covariance_matrix(GaussianAR1(rho=0.5), reference, 4, 8, seed=1)
 
 
 # ------------------------------------------------------------------- cholesky
@@ -405,8 +423,9 @@ def test_solver_matches_reference_one_point_at_a_time():
 
 
 def test_solver_matches_reference_on_warm_started_cdf_grid():
-    """The limit_cdf route on the Szegő AR(1) law: 320 points at both heights."""
-    law = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    """The limit_cdf route on a 256-atom law (the Szegő AR(1) law at 128
+    midpoint nodes): 320 points at both heights."""
+    law = szego_midpoint_law(GaussianAR1(rho=0.5), TWO_ATOM, 128)
     xs = np.linspace(1e-9, 3.0 * (1.0 + math.sqrt(0.5)) ** 2 + 0.1, 320)
     coarse, _, _ = _assert_solver_matches_reference(
         law.lambdas, law.weights, law.c, xs + 4e-3j, 1e-8, 200000
@@ -427,7 +446,7 @@ def test_solver_matches_reference_when_budget_runs_out():
     or companion, so every budget up to 10 steps shows that step's bits;
     with the companion residual formed on the rejected points alone instead
     of the whole unconverged set, budgets 7 and 9 gave other bits."""
-    law = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    law = szego_midpoint_law(GaussianAR1(rho=0.5), TWO_ATOM, 128)
     zs = np.linspace(0.1, 6.0, 64) + 1e-3j
     for max_iter in range(1, 11):
         _, residual, iterations = _assert_solver_matches_reference(
@@ -586,16 +605,65 @@ def test_kms_spectrum_meets_its_szego_limit(rho, p):
     assert p * kolmogorov_distance(vals, lambda t: _szego_cdf(rho, t)) <= 1.01
 
 
+def _law_moments(law: SpectralModel) -> tuple[float, float]:
+    """First and second moments of a law's population spectrum; with
+    rho != 0 they are t(0) and -t'(0) of the closed-form theta average."""
+    if law.rho == 0.0:
+        return float((law.weights * law.lambdas).sum()), float(
+            (law.weights * law.lambdas**2).sum()
+        )
+    t, minus_dt = _szego_sums(law.lambdas, law.weights, law.rho, np.zeros(1, dtype=complex))
+    assert t.imag[0] == 0.0 and minus_dt.imag[0] == 0.0
+    return float(t.real[0]), float(minus_dt.real[0])
+
+
 @pytest.mark.parametrize("rho", [0.5, -0.7, 0.9])
-def test_effective_law_is_the_midpoint_rule_of_the_szego_limit(rho):
-    eff = effective_spectral_model(GaussianAR1(rho=rho), UNIT)
-    nodes = len(eff.atoms)
-    assert nodes == 128
-    assert np.all(eff.weights == 1.0 / nodes)
-    # f is monotone on [0, pi], so the nodes are the midpoint quantiles
-    ks = kolmogorov_distance(eff.lambdas, lambda t: _szego_cdf(rho, t))
-    assert ks == pytest.approx(1.0 / (2 * nodes), abs=1e-12)
-    assert eff.c == UNIT.c
+def test_effective_law_is_the_exact_szego_limit(rho):
+    """AR(1) columns keep the declared atoms and carry rho, which the solver
+    averages over theta in closed form; there are no nodes."""
+    eff = effective_spectral_model(GaussianAR1(rho=rho), TWO_ATOM)
+    assert eff == SpectralModel(atoms=TWO_ATOM.atoms, c=TWO_ATOM.c, rho=rho)
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.7, 0.9, 0.99])
+def test_szego_sums_match_a_fine_midpoint_rule(rho):
+    """t, -t' and the residual's average 1 - v t against 2^16 nodes per
+    declared atom, at random v with Im v in [0.1, 3]."""
+    rng = np.random.default_rng(1)
+    v = rng.uniform(-3.0, 3.0, 20) + 1j * rng.uniform(0.1, 3.0, 20)
+    t, minus_dt = _szego_sums(TWO_ATOM.lambdas, TWO_ATOM.weights, rho, v)
+    nodes = szego_midpoint_law(GaussianAR1(rho=rho), TWO_ATOM, 2**16)
+    lam, w = nodes.lambdas, nodes.weights
+    for i, vi in enumerate(v):
+        inv = 1.0 / (1.0 + lam * vi)
+        want_t = (w * lam * inv).sum()
+        want_dt = (w * (lam * inv) ** 2).sum()
+        want_e = (w * inv).sum()
+        assert abs(t[i] - want_t) <= 1e-13 * abs(want_t)
+        assert abs(minus_dt[i] - want_dt) <= 1e-13 * abs(want_dt)
+        assert abs(1.0 - vi * t[i] - want_e) <= 1e-13 * abs(want_e)
+
+
+@pytest.mark.parametrize("rho", [0.5, -0.7, 0.9])
+def test_limit_stieltjes_on_the_szego_law_matches_a_fine_midpoint_law(rho):
+    # measured worst relative gaps 3.5e-16, 2.6e-15 and 9.3e-12
+    exact = effective_spectral_model(GaussianAR1(rho=rho), TWO_ATOM)
+    nodes = szego_midpoint_law(GaussianAR1(rho=rho), TWO_ATOM, 4096)
+    edge = 3.0 * (1.0 + abs(rho)) / (1.0 - abs(rho)) * (1.0 + math.sqrt(0.5)) ** 2
+    for x in np.linspace(-1.0, edge + 1.0, 12):
+        for height in (0.05, 0.5):
+            z = complex(x, height)
+            got, want = limit_stieltjes(exact, z).m, limit_stieltjes(nodes, z).m
+            assert abs(got - want) <= 1e-9 * abs(want)
+
+
+def test_limit_cdf_on_the_szego_law_matches_a_fine_midpoint_law():
+    """At rho = 0.5 the closed form is 1.9e-7 from the 1024-node law, where
+    the 128-node law is 1.2e-5 away."""
+    exact = limit_cdf(effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM))
+    nodes = limit_cdf(szego_midpoint_law(GaussianAR1(rho=0.5), TWO_ATOM, 1024))
+    xs = np.linspace(0.0, 3.0 * 3.0 * (1.0 + math.sqrt(0.5)) ** 2, 2001)
+    assert np.max(np.abs(exact(xs) - nodes(xs))) <= 1e-6
 
 
 @pytest.mark.parametrize(
@@ -608,10 +676,10 @@ def test_effective_law_is_the_midpoint_rule_of_the_szego_limit(rho):
     ],
 )
 def test_effective_law_keeps_the_mean(model):
-    # the midpoint rule integrates cos(j theta) exactly for 0 < j < 2N, so only
-    # the AR(1) aliasing term 2 rho^(2N) (4e-12 at rho = 0.9) is left
+    # the MA midpoint rule integrates cos(j theta) exactly for 0 < j < 2N; the
+    # AR(1) law is exact, its mean t(0) = sum_k w_k u_k / (1 - rho^2)
     eff = effective_spectral_model(model, TWO_ATOM)
-    mean = float((eff.weights * eff.lambdas).sum())
+    mean, _ = _law_moments(eff)
     expected = float((TWO_ATOM.weights * TWO_ATOM.lambdas).sum())
     assert abs(mean - expected) <= 1e-14 * expected
 
@@ -640,15 +708,14 @@ def test_effective_spectral_model_sees_dependent_moving_averages(coeffs):
 
 
 def test_effective_spectral_model_widen_under_serial_dependence():
-    model = GaussianAR1(rho=0.5)
-    eff = effective_spectral_model(model, UNIT)
-    lams = np.array([lam for lam, _ in eff.atoms])
-    wts = np.array([w for _, w in eff.atoms])
-    # first moment is preserved (unit trace), second moment grows to
-    # (1/p) tr(T^2) -> (1 + rho^2)/(1 - rho^2) = 5/3
-    assert float(wts @ lams) == pytest.approx(1.0, abs=1e-10)
-    assert float(wts @ lams**2) == pytest.approx(5.0 / 3.0, abs=5e-3)
-    assert eff.c == UNIT.c
+    for rho in (0.5, -0.7, 0.9):
+        eff = effective_spectral_model(GaussianAR1(rho=rho), TWO_ATOM)
+        mean, second = _law_moments(eff)
+        # the first moment is kept and the second grows by
+        # (1/p) tr(T^2) -> (1 + rho^2)/(1 - rho^2), both exactly
+        assert mean == pytest.approx(2.0, rel=1e-14)
+        assert second == pytest.approx((1.0 + rho * rho) / (1.0 - rho * rho) * 5.0, rel=1e-14)
+        assert eff.c == TWO_ATOM.c
 
 
 def test_sample_covariance_matrix_shape_and_psd():
