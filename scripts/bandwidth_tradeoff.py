@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from quadvar.longrun import Kernel, estimate_lrv, lrv_true, mse_bound
-from quadvar.models import GaussianAR1, SamplePath, dependence_profile, generate_paths
+from quadvar.models import GaussianAR1, dependence_profile, generate_paths
 
 _KERNELS = {
     "bartlett": Kernel.bartlett,
@@ -44,12 +44,7 @@ def main() -> int:
     print(f"true long-run variance: {sigma2:.6f}")
     print(f"{'m':>8s} {'mc_mse':>12s} {'var_bound':>12s} {'sq_bias':>12s}")
     for m in args.bandwidths:
-        values = np.array(
-            [
-                estimate_lrv(SamplePath(values=row, model=model, seed=args.seed), kernel, m).value
-                for row in paths
-            ]
-        )
+        values = np.array([estimate_lrv(row, kernel, m) for row in paths])
         mse = float(np.mean((values - sigma2) ** 2))
         report = mse_bound(profile, model, kernel, m, args.n)
         print(

@@ -7,7 +7,6 @@ from .longrun import (
     BiasDecomposition,
     Kernel,
     KernelAssumptions,
-    LRVEstimate,
     MSEReport,
     check_assumptions,
     cumulant_sum,
@@ -29,12 +28,10 @@ from .models import (
     GaussianMA,
     RademacherIID,
     RademacherProductMDS,
-    SamplePath,
     autocovariance,
     covariance_matrix,
     dependence_profile,
     exact_product_moment,
-    generate_path,
     generate_paths,
     isserlis_fourth_moment,
     min_phi_double_sum,

@@ -214,14 +214,6 @@ def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
         where,
     )
     name = _expect(section["name"], str, f"{where}.name")
-    if name == "bartlett":
-        return Kernel.bartlett()
-    if name == "parzen":
-        return Kernel.parzen()
-    if name == "quadratic_spectral":
-        return Kernel.quadratic_spectral()
-    if name == "truncated":
-        return Kernel.truncated()
     if name == "tabulated":
         if "csv" in section:
             rel = _expect(section["csv"], str, f"{where}.csv")
@@ -240,7 +232,10 @@ def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
             return Kernel.tabulated(grid, values)
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}.name: unknown kernel {name!r}")
+    try:
+        return Kernel(name)
+    except ValueError:
+        raise ConfigError(f"{where}.name: unknown kernel {name!r}") from None
 
 
 def _build_spectral(section: Any, where: str) -> SpectralModel:
@@ -509,10 +504,10 @@ def validate(
             "grid": list(kernel.grid),
             "values": list(kernel.values),
         }
-    if "replicates" in allowed:
-        canonical["replicates"] = kwargs.get("replicates", 100000)
-    if "max_lag" in allowed:
-        canonical["max_lag"] = kwargs.get("max_lag", 64)
+    for key in ("replicates", "max_lag"):
+        if key in allowed:
+            # the field defaults of ExperimentConfig are the only copy
+            canonical[key] = kwargs.get(key, getattr(ExperimentConfig, key))
 
     return ExperimentConfig(
         experiment=experiment,

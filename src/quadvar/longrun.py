@@ -32,7 +32,6 @@ from .models import (
     GaussianMA,
     RademacherIID,
     RademacherProductMDS,
-    SamplePath,
     autocovariance,
     exact_product_moment,
 )
@@ -40,7 +39,6 @@ from .models import (
 __all__ = [
     "Kernel",
     "KernelAssumptions",
-    "LRVEstimate",
     "BiasDecomposition",
     "MSEReport",
     "kernel_eval",
@@ -57,7 +55,19 @@ __all__ = [
     "cumulant_sum",
 ]
 
-_NAMED_VARIANTS = ("bartlett", "parzen", "quadratic_spectral", "truncated", "tabulated")
+# The named kernels' constants (Andrews, Econometrica 59, 1991): support
+# radius, the curvature pair (q, k_q) and the integral of the squared
+# sup-envelope, in closed form where the kernel is its own envelope.
+_NAMED = {
+    "bartlett": (1.0, (1.0, -1.0), 1.0 / 3.0),
+    "parzen": (1.0, (2.0, -6.0), 151.0 / 560.0),
+    "truncated": (1.0, (math.inf, 0.0), 1.0),
+    "quadratic_spectral": (math.inf, (2.0, -18.0 * math.pi**2 / 125.0), None),
+}
+
+# Named kernels with finite support are non-negative and non-increasing, so
+# each is its own sup-envelope.
+_MONOTONE = frozenset(name for name, consts in _NAMED.items() if math.isfinite(consts[0]))
 
 # Sup-envelope grids for kernels without a monotone closed form.
 _ENVELOPE_STEP = 1e-4
@@ -68,9 +78,9 @@ _ENVELOPE_EXTENT = 200.0
 class Kernel:
     """One HAC kernel, carrying its derived constants as cached attributes.
 
-    Use the classmethod constructors; ``variant`` is an internal tag.
-    Tabulated kernels interpolate linearly on their grid and are zero beyond
-    it.
+    ``Kernel(name)`` or a classmethod constructor builds a named kernel;
+    ``variant`` is its name.  Tabulated kernels interpolate linearly on
+    their grid and are zero beyond it.
     """
 
     variant: str
@@ -78,7 +88,7 @@ class Kernel:
     values: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        if self.variant not in _NAMED_VARIANTS:
+        if self.variant not in _NAMED and self.variant != "tabulated":
             raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.variant == "tabulated":
             if self.grid is None or self.values is None:
@@ -143,11 +153,9 @@ class Kernel:
     @property
     def support_radius(self) -> float:
         """Smallest r with K(x) = 0 for all x > r (inf when none exists)."""
-        if self.variant in ("bartlett", "parzen", "truncated"):
-            return 1.0
         if self.variant == "tabulated":
             return self.grid[-1]
-        return math.inf
+        return _NAMED[self.variant][0]
 
     @cached_property
     def _envelope_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -175,12 +183,8 @@ class Kernel:
     @cached_property
     def envelope_sq_integral(self) -> float:
         """Integral of the squared sup-envelope over [0, inf)."""
-        if self.variant == "bartlett":
-            return 1.0 / 3.0
-        if self.variant == "parzen":
-            return 151.0 / 560.0
-        if self.variant == "truncated":
-            return 1.0
+        if self.variant in _MONOTONE:
+            return _NAMED[self.variant][2]
         xs, table = self._envelope_table
         total = float(np.sum(table[:-1] ** 2 * np.diff(xs)))
         if self.variant == "quadratic_spectral":
@@ -248,7 +252,7 @@ def kernel_envelope(kernel: Kernel, x):
     arr = _validate_nonnegative(x)
     scalar = arr.ndim == 0
     arr = np.atleast_1d(arr)
-    if kernel.variant in ("bartlett", "parzen", "truncated"):
+    if kernel.variant in _MONOTONE:
         out = kernel_eval(kernel, arr)
     else:
         xs, table = kernel._envelope_table
@@ -271,14 +275,8 @@ def kernel_kq(kernel: Kernel) -> tuple[float, float]:
     exponent and the coefficient.  A kernel that is exactly 1 near zero is
     degenerate: reported as (inf, 0.0).
     """
-    if kernel.variant == "bartlett":
-        return (1.0, -1.0)
-    if kernel.variant == "parzen":
-        return (2.0, -6.0)
-    if kernel.variant == "quadratic_spectral":
-        return (2.0, -18.0 * math.pi**2 / 125.0)
-    if kernel.variant == "truncated":
-        return (math.inf, 0.0)
+    if kernel.variant in _NAMED:
+        return _NAMED[kernel.variant][1]
     if len(kernel.values) > 1 and kernel.values[0] == 1.0 and kernel.values[1] == 1.0:
         # the interpolant is exactly 1 on the whole first grid segment
         return (math.inf, 0.0)
@@ -353,28 +351,19 @@ def check_assumptions(kernel: Kernel) -> KernelAssumptions:
     )
 
 
-@dataclass(frozen=True)
-class LRVEstimate:
-    """One evaluation of the kernel estimator."""
-
-    value: float
-    n: int
-    m: float
-    kernel: Kernel
-
-
-def estimate_lrv(path: SamplePath, kernel: Kernel, m: float) -> LRVEstimate:
-    """sigma2_hat = (1/n) sum_{s,t} K(|s - t|/m) X_s X_t via the lag form.
+def estimate_lrv(path, kernel: Kernel, m: float) -> float:
+    """sigma2_hat = (1/n) sum_{s,t} K(|s - t|/m) X_s X_t via the lag form,
+    for one path X_1..X_n given as a non-empty 1-D array.
 
     Cost is O(n * lags in the kernel support): the double sum collapses to
     n^-1 (sum X_t^2 + 2 sum_j K(j/m) sum_t X_t X_{t+j}).
     """
     if not (m > 0.0):
         raise ValueError(f"bandwidth m must be positive, got {m}")
-    x = np.asarray(path.values, dtype=float)
+    x = np.asarray(path, dtype=float)
+    if x.ndim != 1 or x.size == 0:
+        raise ValueError("path must be a non-empty 1-D array")
     n = x.size
-    if n == 0:
-        raise ValueError("path must be non-empty")
     j_max = n - 1
     if math.isfinite(kernel.support_radius):
         j_max = min(j_max, int(math.floor(kernel.support_radius * m)))
@@ -384,7 +373,7 @@ def estimate_lrv(path: SamplePath, kernel: Kernel, m: float) -> LRVEstimate:
         for j, w in enumerate(weights.tolist(), 1):
             if w != 0.0:
                 total += 2.0 * w * float(x[:-j] @ x[j:])
-    return LRVEstimate(value=total / n, n=n, m=float(m), kernel=kernel)
+    return total / n
 
 
 def _autocov_tail_sum(model: CovarianceModel, start: int) -> float:
@@ -543,10 +532,6 @@ class MSEReport:
     def __post_init__(self):
         if self.variance_bound_c_free < 0.0 or self.squared_bias_leading < 0.0:
             raise ValueError("bound terms must be non-negative")
-
-    @property
-    def exact_bias(self) -> float:
-        return self.bias.exact
 
 
 def mse_bound(

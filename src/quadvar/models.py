@@ -35,11 +35,10 @@ __all__ = [
     "RademacherIID",
     "RademacherProductMDS",
     "CovarianceModel",
-    "SamplePath",
     "DependenceProfile",
     "path_rng",
-    "generate_path",
     "generate_paths",
+    "enumerate_sign_paths",
     "autocovariance",
     "covariance_matrix",
     "isserlis_fourth_moment",
@@ -105,26 +104,6 @@ class RademacherProductMDS:
 CovarianceModel = Union[GaussianAR1, GaussianMA, RademacherIID, RademacherProductMDS]
 
 
-@dataclass(frozen=True)
-class SamplePath:
-    """A finite stretch of one realisation, together with its provenance."""
-
-    values: np.ndarray
-    model: CovarianceModel
-    seed: int
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("values must be a non-empty 1-D array")
-        v = v.copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
-
-    def __len__(self) -> int:
-        return self.values.size
-
-
 def path_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Counter-based generator for (seed, stream).
 
@@ -156,6 +135,22 @@ def _signs_to_paths(model: CovarianceModel, bits: np.ndarray) -> np.ndarray:
         # e_{t-1} e_t = +1 exactly when the two driving bits agree.
         return 1.0 - 2.0 * (bits[:, :-1] ^ bits[:, 1:])
     raise TypeError(f"{model!r} is not a sign model")
+
+
+def enumerate_sign_paths(
+    model: CovarianceModel, p: int, start: int = 0, stop: int | None = None
+) -> np.ndarray:
+    """The +-1 paths of length p of driving-sign configurations start..stop-1,
+    one a row, where bit t of configuration c is driving bit t.
+
+    ``stop`` defaults to, and is clipped at, the number of configurations:
+    2^p for ``RademacherIID`` and 2^(p+1) for ``RademacherProductMDS``.
+    Other models raise TypeError.
+    """
+    width = _innovation_width(model, p)
+    stop = 1 << width if stop is None else min(stop, 1 << width)
+    idx = np.arange(start, stop, dtype=np.int64)
+    return _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
 
 
 # Values one step of the segmented AR(1) scan advances at most.  A step
@@ -442,12 +437,6 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     return out
 
 
-def generate_path(model: CovarianceModel, p: int, seed: int) -> SamplePath:
-    """Sample X_1..X_p from stream (seed, 0): row 0 of ``generate_paths``."""
-    values = generate_paths(model, p, seed, 1)[0]
-    return SamplePath(values=values, model=model, seed=seed)
-
-
 def autocovariance(model: CovarianceModel, lag) -> np.ndarray | float:
     """C(lag) = cov(X_t, X_{t+lag}); accepts scalars or integer arrays."""
     j = np.abs(np.asarray(lag))
@@ -661,9 +650,7 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
     nothing.
     """
     w = _ENUM_WINDOW
-    width = _innovation_width(model, w)
-    idx = np.arange(2**width, dtype=np.int64)
-    x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
+    x = enumerate_sign_paths(model, w)
 
     def mean_prod(*cols):
         prod = np.ones(x.shape[0])

@@ -19,8 +19,7 @@ import numpy as np
 from .models import (
     CovarianceModel,
     DependenceProfile,
-    _innovation_width,
-    _signs_to_paths,
+    enumerate_sign_paths,
     generate_paths,
     path_rng,
 )
@@ -69,9 +68,10 @@ def symmetrize(A) -> np.ndarray:
 
 
 def _check_symmetric(S: np.ndarray, rel: float, what: str) -> np.ndarray:
-    defect = np.linalg.norm(S - S.T)
-    scale = max(1.0, float(np.linalg.norm(S)))
-    if defect > rel * scale:
+    """S, if max|S - S'| <= rel max|S|; a test on the largest entries,
+    which cannot overflow and means the same at every scale of S."""
+    defect = float(np.abs(S - S.T).max(initial=0.0))
+    if defect > rel * float(np.abs(S).max(initial=0.0)):
         raise ValueError(f"{what} must be symmetric (defect {defect:.3e})")
     return S
 
@@ -151,16 +151,14 @@ def brute_force_variance(model: CovarianceModel, A) -> float:
     p = A.shape[0]
     if p > _BRUTE_FORCE_MAX_P:
         raise ValueError(f"enumeration capped at p = {_BRUTE_FORCE_MAX_P}, got {p}")
-    width = _innovation_width(model, p)
-    total = 1 << width
+    total = 0
     acc1 = 0.0
     acc2 = 0.0
-    for start in range(0, total, _CHUNK):
-        idx = np.arange(start, min(start + _CHUNK, total), dtype=np.int64)
-        x = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
+    while (x := enumerate_sign_paths(model, p, total, total + _CHUNK)).shape[0]:
         q = np.einsum("ri,ri->r", x @ A, x)
         acc1 += float(q.sum())
         acc2 += float((q * q).sum())
+        total += x.shape[0]
     mean = acc1 / total
     return acc2 / total - mean * mean
 

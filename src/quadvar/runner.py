@@ -25,7 +25,6 @@ from .models import (
     GaussianMA,
     RademacherIID,
     RademacherProductMDS,
-    SamplePath,
     covariance_matrix,
     dependence_profile,
     exact_product_moment,
@@ -230,14 +229,8 @@ def _lrv_mc_mse(cfg: ExperimentConfig, n: int, m: float, sigma2: float) -> float
     The (replicates, n) block is local here, so it is freed before the next
     point draws its own and a sweep holds one block at a time.
     """
-    model, kernel = cfg.model, cfg.kernel
-    paths = generate_paths(model, n, cfg.seed, cfg.replicates)
-    values = np.array(
-        [
-            estimate_lrv(SamplePath(values=row, model=model, seed=cfg.seed), kernel, m).value
-            for row in paths
-        ]
-    )
+    paths = generate_paths(cfg.model, n, cfg.seed, cfg.replicates)
+    values = np.array([estimate_lrv(row, cfg.kernel, m) for row in paths])
     return float(np.mean((values - sigma2) ** 2))
 
 

@@ -35,7 +35,6 @@ from quadvar.models import (
     GaussianMA,
     RademacherIID,
     RademacherProductMDS,
-    SamplePath,
     autocovariance,
     covariance_matrix,
     dependence_profile,
@@ -359,12 +358,7 @@ def mse_sweep():
     start = time.perf_counter()
 
     def mc_mse(n: int, m: float, paths: np.ndarray) -> float:
-        values = np.array(
-            [
-                estimate_lrv(SamplePath(values=row, model=model, seed=0), kernel, m).value
-                for row in paths
-            ]
-        )
+        values = np.array([estimate_lrv(row, kernel, m) for row in paths])
         return float(np.mean((values - sigma2) ** 2))
 
     consistency = {}

@@ -16,14 +16,12 @@ from quadvar.models import (
     GaussianMA,
     RademacherIID,
     RademacherProductMDS,
-    SamplePath,
     _innovation_width,
-    _signs_to_paths,
     autocovariance,
     covariance_matrix,
     dependence_profile,
+    enumerate_sign_paths,
     exact_product_moment,
-    generate_path,
     generate_paths,
     isserlis_fourth_moment,
     min_phi_double_sum,
@@ -53,12 +51,6 @@ def test_ma_rejects_empty_and_zero():
         GaussianMA(coeffs=())
     with pytest.raises(ValueError):
         GaussianMA(coeffs=(0.0, 0.0))
-
-
-def test_sample_path_is_frozen():
-    path = generate_path(GaussianAR1(rho=0.5), 10, seed=1)
-    with pytest.raises(ValueError):
-        path.values[0] = 0.0
 
 
 # ------------------------------------------------------------ autocovariance
@@ -180,14 +172,34 @@ def test_product_mds_is_white_but_not_independent():
 def test_product_mds_is_iid_rademacher(p):
     """X_t = e_{t-1} e_t maps the 2^(p+1) driving signs two-to-one onto all
     2^p sign vectors, so X_1..X_p are independent fair signs."""
-    model = RademacherProductMDS()
-    width = _innovation_width(model, p)
-    idx = np.arange(2**width, dtype=np.int64)
-    paths = _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
-    assert paths.shape == (2**width, p)
+    paths = enumerate_sign_paths(RademacherProductMDS(), p)
+    assert paths.shape == (2 ** (p + 1), p)
     vectors, counts = np.unique(paths, axis=0, return_counts=True)
     assert len(vectors) == 2**p
     assert np.all(counts == 2)
+
+
+@pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
+def test_enumerated_sign_paths_split_into_ranges(model):
+    """Configuration c drives bit t from bit t of c, so any split of
+    [0, 2^width) into ranges stacks back into the whole enumeration, and a
+    stop past the end is clipped."""
+    whole = enumerate_sign_paths(model, 5)
+    width = _innovation_width(model, 5)
+    assert whole.shape == (2**width, 5)
+    parts = [enumerate_sign_paths(model, 5, s, s + 7) for s in range(0, 2**width, 7)]
+    assert np.array_equal(np.concatenate(parts), whole)
+    assert enumerate_sign_paths(model, 5, 2**width, 2**width + 7).shape == (0, 5)
+    # configuration 1 sets only the first driving bit
+    e = -np.ones(width)
+    e[0] = 1.0
+    first = e if isinstance(model, RademacherIID) else e[:-1] * e[1:]
+    assert np.array_equal(whole[1], first)
+
+
+def test_enumerated_sign_paths_need_a_sign_model():
+    with pytest.raises(TypeError):
+        enumerate_sign_paths(GaussianAR1(rho=0.5), 3)
 
 
 # ------------------------------------------------------------------ sampling
@@ -196,8 +208,8 @@ def test_product_mds_is_iid_rademacher(p):
 def test_generate_paths_rows_match_single_streams():
     for model in ALL_MODELS:
         block = generate_paths(model, 12, seed=42, count=5)
-        first = generate_path(model, 12, seed=42)
-        assert np.array_equal(block[0], first.values)
+        first = generate_paths(model, 12, seed=42, count=1)
+        assert np.array_equal(block[:1], first)
 
 
 def _same_bits(a, b):
@@ -384,14 +396,6 @@ def test_rademacher_paths_are_signs():
     for model in (RademacherIID(), RademacherProductMDS()):
         block = generate_paths(model, 50, seed=9, count=100)
         assert np.all(np.abs(block) == 1.0)
-
-
-def test_sample_path_records_provenance():
-    model = GaussianMA(coeffs=(1.0, 0.5))
-    path = generate_path(model, 20, seed=5)
-    assert path.model == model
-    assert path.seed == 5
-    assert len(path) == 20
 
 
 # ------------------------------------------------------------------ profiles

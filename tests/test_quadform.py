@@ -52,6 +52,25 @@ def test_gaussian_exact_variance_uses_symmetric_part():
     )
 
 
+@pytest.mark.parametrize("scale", [1e170, 1.0, 1e-20])
+def test_asymmetric_sigma_is_rejected_at_every_scale(scale):
+    # the defect is half the largest entry at every scale; at 1e170 a sum of
+    # squared entries overflows, and at 1e-20 the defect is far below 1
+    Sigma = np.array([[1.0, 0.5], [0.0, 1.0]]) * scale
+    profile = dependence_profile(RademacherIID(), 4)
+    with pytest.raises(ValueError, match="symmetric"):
+        gaussian_exact_variance(Sigma, np.eye(2))
+    with pytest.raises(ValueError, match="symmetric"):
+        linear_process_variance_bound(profile, Sigma, np.eye(2))
+
+
+def test_symmetric_sigma_is_accepted_at_every_scale():
+    Sigma = covariance_matrix(GaussianAR1(rho=0.3), 3)
+    for scale in (1e150, 1e-20):
+        got = gaussian_exact_variance(Sigma * scale, np.eye(3) / scale)
+        assert got == pytest.approx(gaussian_exact_variance(Sigma, np.eye(3)), rel=1e-12)
+
+
 # ----------------------------------------------------------------- brute force
 
 

@@ -48,6 +48,24 @@ def test_defaults_are_filled():
     assert cfg.out is None
 
 
+def test_omitted_defaults_hash_like_stated_ones():
+    omitted = validate(_config())
+    stated = validate(_config(replicates=100000, max_lag=64))
+    assert omitted.config_hash == stated.config_hash
+    assert (omitted.replicates, omitted.max_lag) == (stated.replicates, stated.max_lag)
+
+
+def test_every_named_kernel_builds_and_others_are_exit_two(tmp_path, capsys):
+    base = {"experiment": "kernel_check", "seed": 1}
+    for name in ("bartlett", "parzen", "quadratic_spectral", "truncated"):
+        cfg = validate(json.dumps({**base, "kernel": {"name": name}}))
+        assert cfg.kernel.variant == name
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**base, "kernel": {"name": "epanechnikov"}}))
+    assert cli_main(["kernel_check", "--config", str(path)]) == 2
+    assert "kernel.name: unknown kernel 'epanechnikov'" in capsys.readouterr().err
+
+
 def test_unknown_top_level_key_is_rejected():
     with pytest.raises(ConfigError, match="bandwith"):
         validate(_config(bandwith=3))
