@@ -17,26 +17,22 @@ import numpy as np
 from quadvar.longrun import Kernel, estimate_lrv, lrv_true, mse_bound
 from quadvar.models import GaussianAR1, dependence_profile, generate_paths
 
-_KERNELS = {
-    "bartlett": Kernel.bartlett,
-    "parzen": Kernel.parzen,
-    "quadratic_spectral": Kernel.quadratic_spectral,
-    "truncated": Kernel.truncated,
-}
-
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rho", type=float, default=0.5)
     parser.add_argument("--n", type=int, default=8000)
     parser.add_argument("--bandwidths", type=float, nargs="+", default=[2.0, 8.0, 32.0, 128.0])
-    parser.add_argument("--kernel", choices=sorted(_KERNELS), default="bartlett")
+    parser.add_argument("--kernel", default="bartlett", help="a named kernel, e.g. parzen")
     parser.add_argument("--replicates", type=int, default=300)
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
+    try:
+        kernel = Kernel(args.kernel)
+    except ValueError as exc:
+        parser.error(str(exc))
     model = GaussianAR1(rho=args.rho)
-    kernel = _KERNELS[args.kernel]()
     profile = dependence_profile(model, 64)
     sigma2 = lrv_true(model)
     paths = generate_paths(model, args.n, args.seed, args.replicates)

@@ -1,9 +1,10 @@
 """Experiment configs: strict JSON parsing, defaults, and a canonical hash.
 
 A config is a single JSON object.  Validation is deliberately unforgiving:
-unknown keys are rejected with their full path, parse errors carry line and
-column, and every experiment declares exactly which sections it reads.  The
-canonical hash covers the experiment-defining content (seed included, output
+unknown and repeated keys are rejected with their path, parse errors carry
+line and column, every number must be a JSON number that fits a double, and
+every experiment declares exactly which sections it reads.  The canonical
+hash covers the experiment-defining content (seed included, output
 destination excluded, a kernel table read from a file by its contents) so
 that re-running the same config, or the same config with its keys reordered,
 always lands on the same digest.
@@ -15,8 +16,9 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -47,49 +49,41 @@ class ConfigError(ValueError):
     """A config failed validation; the message names the offending field."""
 
 
-# Sections each experiment reads, beyond the always-allowed top-level keys.
-EXPERIMENTS: dict[str, dict[str, frozenset[str]]] = {
-    "quadform_var": {
-        "required": frozenset({"model", "matrix"}),
-        "optional": frozenset({"replicates", "max_lag"}),
-    },
-    "fourth_moment": {
-        "required": frozenset({"model", "vector"}),
-        "optional": frozenset({"replicates", "max_lag"}),
-    },
-    "esd": {
-        "required": frozenset({"model", "spectral", "sizes"}),
-        "optional": frozenset({"p_ref"}),
-    },
-    "stieltjes_grid": {
-        "required": frozenset({"spectral", "grid"}),
-        "optional": frozenset(),
-    },
-    "lrv_mse": {
-        "required": frozenset({"model", "kernel", "sweep"}),
-        "optional": frozenset({"replicates", "max_lag"}),
-    },
-    "kernel_check": {
-        "required": frozenset({"kernel"}),
-        "optional": frozenset(),
-    },
+class _Experiment(NamedTuple):
+    """What one experiment reads beyond the always-allowed top-level keys."""
+
+    required: tuple[str, ...]  # sections, each built by its entry in _BUILDERS
+    optional: dict[str, int]  # integer keys and their minimums
+    tolerances: dict[str, float]  # defaults, each of which a config may override
+
+
+_MC_TOLERANCES = {"assert_sigmas": 4.0, "certificate_factor": 3.0}
+
+EXPERIMENTS: dict[str, _Experiment] = {
+    # A sample variance or standard error needs two replicates.
+    "quadform_var": _Experiment(("model", "matrix"), {"replicates": 2}, _MC_TOLERANCES),
+    "fourth_moment": _Experiment(("model", "vector"), {"replicates": 2}, _MC_TOLERANCES),
+    # p_ref is accepted for older esd configs and otherwise ignored (and not
+    # hashed): the limit law no longer depends on a reference dimension.
+    "esd": _Experiment(("model", "spectral", "sizes"), {"p_ref": 2}, {"max_ks": 0.10}),
+    "stieltjes_grid": _Experiment(
+        ("spectral", "grid"), {}, {"tol": 1e-12, "max_iter": 10000, "closed_form_atol": 1e-10}
+    ),
+    "lrv_mse": _Experiment(
+        ("model", "kernel", "sweep"), {"replicates": 1}, {"ratio_cap": 3.0, "slack_over_n": 10.0}
+    ),
+    "kernel_check": _Experiment(("kernel",), {}, {}),
 }
 
 _COMMON_KEYS = frozenset({"experiment", "seed", "tolerances", "out", "format"})
 
-_TOLERANCE_DEFAULTS: dict[str, dict[str, float]] = {
-    "quadform_var": {"assert_sigmas": 4.0, "certificate_factor": 3.0},
-    "fourth_moment": {"assert_sigmas": 4.0, "certificate_factor": 3.0},
-    "esd": {"max_ks": 0.10},
-    "stieltjes_grid": {"tol": 1e-12, "max_iter": 10000, "closed_form_atol": 1e-10},
-    "lrv_mse": {"ratio_cap": 3.0, "slack_over_n": 10.0},
-    "kernel_check": {},
-}
-
 
 def _expect(obj: Any, kind: type, where: str) -> Any:
     if kind is float and isinstance(obj, int) and not isinstance(obj, bool):
-        return float(obj)
+        try:
+            return float(obj)
+        except OverflowError:
+            raise ConfigError(f"{where}: integer too large for a double") from None
     if not isinstance(obj, kind) or isinstance(obj, bool) and kind is not bool:
         raise ConfigError(f"{where}: expected {kind.__name__}, got {type(obj).__name__}")
     if kind is float and not math.isfinite(obj):
@@ -104,34 +98,78 @@ def _expect_int(obj: Any, where: str, minimum: int | None = None) -> int:
     return value
 
 
-def _check_keys(section: dict, allowed: frozenset[str], required: frozenset[str], where: str):
+def _expect_seed(obj: Any, where: str) -> int:
+    seed = _expect_int(obj, where, minimum=0)
+    if seed > _MAX_SEED:
+        raise ConfigError(f"{where}: must fit in 64 bits, got {seed}")
+    return seed
+
+
+def _real(obj: Any, where: str) -> float:
+    return _expect(obj, float, where)
+
+
+def _floats(obj: Any, where: str) -> tuple[float, ...]:
+    items = _expect(obj, list, where)
+    return tuple(_real(item, f"{where}[{i}]") for i, item in enumerate(items))
+
+
+def _pairs(obj: Any, where: str, shape: str, first, second) -> tuple:
+    """A non-empty list of two-item lists ``shape``, read by ``first`` and ``second``."""
+    items = _expect(obj, list, where)
+    if not items:
+        raise ConfigError(f"{where}: must not be empty")
+    pairs = []
+    for i, pair in enumerate(items):
+        at = f"{where}[{i}]"
+        pair = _expect(pair, list, at)
+        if len(pair) != 2:
+            raise ConfigError(f"{at}: expected {shape}")
+        pairs.append((first(pair[0], f"{at}[0]"), second(pair[1], f"{at}[1]")))
+    return tuple(pairs)
+
+
+def _section(obj: Any, where: str, allowed: set[str], required: set[str]) -> dict:
+    section = _expect(obj, dict, where)
     for key in section:
         if key not in allowed:
             raise ConfigError(f"{where}.{key}: unknown key")
     for key in sorted(required):
         if key not in section:
             raise ConfigError(f"{where}.{key}: required key missing")
+    return section
+
+
+def _required(section: dict, key: str, where: str, what: str) -> Any:
+    """``section[key]``, which the section's kind ``what`` needs."""
+    if key not in section:
+        raise ConfigError(f"{where}.{key}: required for {what}")
+    return section[key]
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"{key}: repeated key")
+        obj[key] = value
+    return obj
 
 
 def _build_model(section: Any, where: str) -> CovarianceModel:
-    section = _expect(section, dict, where)
-    _check_keys(section, frozenset({"name", "rho", "coeffs"}), frozenset({"name"}), where)
+    section = _section(section, where, {"name", "rho", "coeffs"}, {"name"})
     name = _expect(section["name"], str, f"{where}.name")
     if name == "gaussian_ar1":
-        if "rho" not in section:
-            raise ConfigError(f"{where}.rho: required for gaussian_ar1")
-        rho = _expect(section["rho"], float, f"{where}.rho")
+        rho = _real(_required(section, "rho", where, name), f"{where}.rho")
         try:
             return GaussianAR1(rho=rho)
         except ValueError as exc:
             raise ConfigError(f"{where}.rho: {exc}") from exc
     if name == "gaussian_ma":
-        if "coeffs" not in section:
-            raise ConfigError(f"{where}.coeffs: required for gaussian_ma")
-        coeffs = _expect(section["coeffs"], list, f"{where}.coeffs")
+        coeffs = _floats(_required(section, "coeffs", where, name), f"{where}.coeffs")
         try:
-            return GaussianMA(coeffs=tuple(float(c) for c in coeffs))
-        except (TypeError, ValueError) as exc:
+            return GaussianMA(coeffs=coeffs)
+        except ValueError as exc:
             raise ConfigError(f"{where}.coeffs: {exc}") from exc
     if name == "rademacher_iid":
         return RademacherIID()
@@ -141,30 +179,15 @@ def _build_model(section: Any, where: str) -> CovarianceModel:
 
 
 def _build_matrix(section: Any, where: str) -> np.ndarray:
-    section = _expect(section, dict, where)
-    _check_keys(
-        section,
-        frozenset({"kind", "p", "seed", "hollow", "entries"}),
-        frozenset({"kind"}),
-        where,
-    )
+    section = _section(section, where, {"kind", "p", "seed", "hollow", "entries"}, {"kind"})
     kind = _expect(section["kind"], str, f"{where}.kind")
     if kind == "explicit":
-        if "entries" not in section:
-            raise ConfigError(f"{where}.entries: required for explicit matrices")
-        entries = _expect(section["entries"], list, f"{where}.entries")
-        try:
-            A = np.array(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.entries: {exc}") from exc
-        if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
+        rows = _required(section, "entries", where, "explicit matrices")
+        rows = _expect(rows, list, f"{where}.entries")
+        if not rows or any(not isinstance(row, list) or len(row) != len(rows) for row in rows):
             raise ConfigError(f"{where}.entries: expected a non-empty square matrix")
-        if not np.isfinite(A).all():
-            raise ConfigError(f"{where}.entries: must be finite")
-        return A
-    if "p" not in section:
-        raise ConfigError(f"{where}.p: required for {kind} matrices")
-    p = _expect_int(section["p"], f"{where}.p", minimum=1)
+        return np.array([_floats(row, f"{where}.entries[{i}]") for i, row in enumerate(rows)])
+    p = _expect_int(_required(section, "p", where, f"{kind} matrices"), f"{where}.p", minimum=1)
     if kind == "hollow_ones":
         A = np.ones((p, p))
         np.fill_diagonal(A, 0.0)
@@ -172,9 +195,8 @@ def _build_matrix(section: Any, where: str) -> np.ndarray:
     if kind == "identity":
         return np.eye(p)
     if kind == "gaussian":
-        if "seed" not in section:
-            raise ConfigError(f"{where}.seed: required for gaussian matrices")
-        seed = _expect_int(section["seed"], f"{where}.seed", minimum=0)
+        seed = _required(section, "seed", where, "gaussian matrices")
+        seed = _expect_seed(seed, f"{where}.seed")
         hollow = section.get("hollow", False)
         if not isinstance(hollow, bool):
             raise ConfigError(f"{where}.hollow: expected bool")
@@ -183,54 +205,38 @@ def _build_matrix(section: Any, where: str) -> np.ndarray:
 
 
 def _build_vector(section: Any, where: str) -> np.ndarray:
-    section = _expect(section, dict, where)
-    _check_keys(section, frozenset({"kind", "p", "entries"}), frozenset({"kind"}), where)
+    section = _section(section, where, {"kind", "p", "entries"}, {"kind"})
     kind = _expect(section["kind"], str, f"{where}.kind")
     if kind == "explicit":
-        if "entries" not in section:
-            raise ConfigError(f"{where}.entries: required for explicit vectors")
-        entries = _expect(section["entries"], list, f"{where}.entries")
-        try:
-            a = np.array(entries, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{where}.entries: {exc}") from exc
-        if a.ndim != 1 or a.size == 0 or not np.isfinite(a).all():
+        entries = _required(section, "entries", where, "explicit vectors")
+        a = np.array(_floats(entries, f"{where}.entries"))
+        if a.size == 0:
             raise ConfigError(f"{where}.entries: expected a non-empty finite 1-D array")
         return a
     if kind == "ones":
-        if "p" not in section:
-            raise ConfigError(f"{where}.p: required for ones vectors")
-        p = _expect_int(section["p"], f"{where}.p", minimum=1)
-        return np.ones(p)
+        p = _required(section, "p", where, "ones vectors")
+        return np.ones(_expect_int(p, f"{where}.p", minimum=1))
     raise ConfigError(f"{where}.kind: unknown vector kind {kind!r}")
 
 
 def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
-    section = _expect(section, dict, where)
-    _check_keys(
-        section,
-        frozenset({"name", "csv", "grid", "values"}),
-        frozenset({"name"}),
-        where,
-    )
+    section = _section(section, where, {"name", "csv", "grid", "values"}, {"name"})
     name = _expect(section["name"], str, f"{where}.name")
     if name == "tabulated":
         if "csv" in section:
-            rel = _expect(section["csv"], str, f"{where}.csv")
-            path = Path(rel)
-            if not path.is_absolute() and config_dir is not None:
-                path = config_dir / path
+            # an absolute path replaces config_dir
+            path = Path(config_dir or "", _expect(section["csv"], str, f"{where}.csv"))
             try:
                 return Kernel.from_csv(path)
             except (OSError, ValueError) as exc:
                 raise ConfigError(f"{where}.csv: {exc}") from exc
         if "grid" not in section or "values" not in section:
             raise ConfigError(f"{where}: tabulated kernels need csv or grid+values")
-        grid = _expect(section["grid"], list, f"{where}.grid")
-        values = _expect(section["values"], list, f"{where}.values")
+        grid = _floats(section["grid"], f"{where}.grid")
+        values = _floats(section["values"], f"{where}.values")
         try:
             return Kernel.tabulated(grid, values)
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:
         return Kernel(name)
@@ -239,73 +245,56 @@ def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
 
 
 def _build_spectral(section: Any, where: str) -> SpectralModel:
-    section = _expect(section, dict, where)
-    _check_keys(section, frozenset({"atoms", "c"}), frozenset({"atoms", "c"}), where)
-    atoms_raw = _expect(section["atoms"], list, f"{where}.atoms")
-    atoms = []
-    for i, pair in enumerate(atoms_raw):
-        pair = _expect(pair, list, f"{where}.atoms[{i}]")
-        if len(pair) != 2:
-            raise ConfigError(f"{where}.atoms[{i}]: expected [lambda, weight]")
-        lam = _expect(pair[0], float, f"{where}.atoms[{i}][0]")
-        wt = _expect(pair[1], float, f"{where}.atoms[{i}][1]")
-        atoms.append((lam, wt))
-    c = _expect(section["c"], float, f"{where}.c")
+    section = _section(section, where, {"atoms", "c"}, {"atoms", "c"})
+    atoms = _pairs(section["atoms"], f"{where}.atoms", "[lambda, weight]", _real, _real)
+    c = _real(section["c"], f"{where}.c")
     try:
-        return SpectralModel(atoms=tuple(atoms), c=c)
+        return SpectralModel(atoms=atoms, c=c)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _build_sizes(section: Any, where: str) -> tuple[tuple[int, int], ...]:
-    section = _expect(section, list, where)
-    if not section:
-        raise ConfigError(f"{where}: must not be empty")
-    sizes = []
-    for i, pair in enumerate(section):
-        pair = _expect(pair, list, f"{where}[{i}]")
-        if len(pair) != 2:
-            raise ConfigError(f"{where}[{i}]: expected [p, n]")
-        p = _expect_int(pair[0], f"{where}[{i}][0]", minimum=1)
-        n = _expect_int(pair[1], f"{where}[{i}][1]", minimum=1)
-        sizes.append((p, n))
-    return tuple(sizes)
+    count = partial(_expect_int, minimum=1)
+    return _pairs(section, where, "[p, n]", count, count)
 
 
 def _build_grid(section: Any, where: str) -> dict[str, float]:
-    section = _expect(section, dict, where)
-    _check_keys(
-        section,
-        frozenset({"re_min", "re_max", "points", "im"}),
-        frozenset({"re_min", "re_max", "points", "im"}),
-        where,
-    )
-    re_min = _expect(section["re_min"], float, f"{where}.re_min")
-    re_max = _expect(section["re_max"], float, f"{where}.re_max")
+    keys = {"re_min", "re_max", "points", "im"}
+    section = _section(section, where, keys, keys)
+    re_min = _real(section["re_min"], f"{where}.re_min")
+    re_max = _real(section["re_max"], f"{where}.re_max")
     if re_max < re_min:
         raise ConfigError(f"{where}.re_max: must be >= re_min")
     points = _expect_int(section["points"], f"{where}.points", minimum=1)
-    im = _expect(section["im"], float, f"{where}.im")
+    im = _real(section["im"], f"{where}.im")
     if im <= 0.0:
         raise ConfigError(f"{where}.im: must be > 0")
     return {"re_min": re_min, "re_max": re_max, "points": points, "im": im}
 
 
+def _bandwidth(obj: Any, where: str) -> float:
+    m = _real(obj, where)
+    if not m > 0.0:
+        raise ConfigError(f"{where}: bandwidth must be > 0")
+    return m
+
+
 def _build_sweep(section: Any, where: str) -> tuple[tuple[int, float], ...]:
-    section = _expect(section, list, where)
-    if not section:
-        raise ConfigError(f"{where}: must not be empty")
-    sweep = []
-    for i, pair in enumerate(section):
-        pair = _expect(pair, list, f"{where}[{i}]")
-        if len(pair) != 2:
-            raise ConfigError(f"{where}[{i}]: expected [n, m]")
-        n = _expect_int(pair[0], f"{where}[{i}][0]", minimum=2)
-        m = _expect(pair[1], float, f"{where}[{i}][1]")
-        if not m > 0.0:
-            raise ConfigError(f"{where}[{i}][1]: bandwidth must be > 0")
-        sweep.append((n, m))
-    return tuple(sweep)
+    return _pairs(section, where, "[n, m]", partial(_expect_int, minimum=2), _bandwidth)
+
+
+# One builder per section, called as build(raw_section, section_name).
+_BUILDERS = {
+    "model": _build_model,
+    "matrix": _build_matrix,
+    "vector": _build_vector,
+    "kernel": _build_kernel,
+    "spectral": _build_spectral,
+    "sizes": _build_sizes,
+    "grid": _build_grid,
+    "sweep": _build_sweep,
+}
 
 
 def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
@@ -332,7 +321,6 @@ class ExperimentConfig:
     seed: int
     canonical: dict
     replicates: int = 100000
-    max_lag: int = 64
     model: CovarianceModel | None = None
     matrix: np.ndarray | None = None
     vector: np.ndarray | None = None
@@ -392,11 +380,15 @@ def validate(
     failures and with a field path for anything structural.
     """
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ConfigError:
+        raise
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ConfigError(f"parse error: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("top level: expected a JSON object")
 
@@ -407,12 +399,12 @@ def validate(
         known = ", ".join(sorted(EXPERIMENTS))
         raise ConfigError(f"experiment: unknown experiment {experiment!r} (known: {known})")
 
-    sections = EXPERIMENTS[experiment]
-    allowed = _COMMON_KEYS | sections["required"] | sections["optional"]
+    spec = EXPERIMENTS[experiment]
+    allowed = _COMMON_KEYS | set(spec.required) | spec.optional.keys()
     for key in raw:
         if key not in allowed:
             raise ConfigError(f"{key}: unknown key for experiment {experiment!r}")
-    for key in sorted(sections["required"]):
+    for key in sorted(spec.required):
         if key not in raw:
             raise ConfigError(f"{key}: required key missing for experiment {experiment!r}")
 
@@ -421,16 +413,14 @@ def validate(
         if key not in {"seed", "out", "format"}:
             raise ConfigError(f"override {key}: not overridable")
 
-    if "seed" in overrides and overrides["seed"] is not None:
-        seed = _expect_int(overrides["seed"], "override seed", minimum=0)
+    if overrides.get("seed") is not None:
+        seed = _expect_seed(overrides["seed"], "override seed")
     elif "seed" in raw:
-        seed = _expect_int(raw["seed"], "seed", minimum=0)
+        seed = _expect_seed(raw["seed"], "seed")
     else:
         raise ConfigError("seed: required key missing (seeds are mandatory)")
-    if seed > _MAX_SEED:
-        raise ConfigError(f"seed: must fit in 64 bits, got {seed}")
 
-    tolerances = dict(_TOLERANCE_DEFAULTS[experiment])
+    tolerances = dict(spec.tolerances)
     if "tolerances" in raw:
         tol_raw = _expect(raw["tolerances"], dict, "tolerances")
         for key, value in tol_raw.items():
@@ -439,49 +429,30 @@ def validate(
             if key == "max_iter":
                 tolerances[key] = _expect_int(value, f"tolerances.{key}", minimum=1)
             else:
-                value = _expect(value, float, f"tolerances.{key}")
+                value = _real(value, f"tolerances.{key}")
                 if not value > 0.0:
                     raise ConfigError(f"tolerances.{key}: must be > 0, got {value}")
                 tolerances[key] = value
 
-    kwargs: dict[str, Any] = {}
-    if "replicates" in raw:
-        # A sample variance or standard error needs two replicates.
-        minimum = 2 if experiment in ("quadform_var", "fourth_moment") else 1
-        kwargs["replicates"] = _expect_int(raw["replicates"], "replicates", minimum=minimum)
-    if "max_lag" in raw:
-        kwargs["max_lag"] = _expect_int(raw["max_lag"], "max_lag", minimum=1)
-    if "p_ref" in raw:
-        # Accepted for older esd configs and otherwise ignored: the limit law
-        # no longer depends on a reference dimension.
-        _expect_int(raw["p_ref"], "p_ref", minimum=2)
-    if "model" in raw:
-        kwargs["model"] = _build_model(raw["model"], "model")
-    if "matrix" in raw:
-        kwargs["matrix"] = _build_matrix(raw["matrix"], "matrix")
-    if "vector" in raw:
-        kwargs["vector"] = _build_vector(raw["vector"], "vector")
-    if "kernel" in raw:
-        kwargs["kernel"] = _build_kernel(raw["kernel"], "kernel", config_dir)
-    if "spectral" in raw:
-        kwargs["spectral"] = _build_spectral(raw["spectral"], "spectral")
-    if "sizes" in raw:
-        kwargs["sizes"] = _build_sizes(raw["sizes"], "sizes")
-    if "grid" in raw:
-        kwargs["grid"] = _build_grid(raw["grid"], "grid")
-    if "sweep" in raw:
-        kwargs["sweep"] = _build_sweep(raw["sweep"], "sweep")
+    kwargs: dict[str, Any] = {
+        key: _expect_int(raw[key], key, minimum=minimum)
+        for key, minimum in spec.optional.items()
+        if key in raw
+    }
+    kwargs.pop("p_ref", None)  # checked, then ignored: see EXPERIMENTS["esd"]
+    builders = {**_BUILDERS, "kernel": partial(_build_kernel, config_dir=config_dir)}
+    for key in spec.required:
+        kwargs[key] = builders[key](raw[key], key)
     if experiment == "esd":
         _check_esd(raw["spectral"]["atoms"], kwargs["sizes"])
 
     out = raw.get("out")
     if out is not None:
         out = _expect(out, str, "out")
-    if "out" in overrides and overrides["out"] is not None:
+    if overrides.get("out") is not None:
         out = str(overrides["out"])
-    fmt = raw.get("format", "csv")
-    fmt = _expect(fmt, str, "format")
-    if "format" in overrides and overrides["format"] is not None:
+    fmt = _expect(raw.get("format", "csv"), str, "format")
+    if overrides.get("format") is not None:
         fmt = str(overrides["format"])
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
@@ -491,11 +462,8 @@ def validate(
         "seed": seed,
         "tolerances": tolerances,
     }
-    for key in sections["required"] | sections["optional"]:
-        if key in ("replicates", "max_lag", "p_ref"):
-            continue
-        if key in raw:
-            canonical[key] = raw[key]
+    for key in spec.required:
+        canonical[key] = raw[key]
     if "kernel" in kwargs and kwargs["kernel"].variant == "tabulated":
         # Hash the table, not the path of the file it came from.
         kernel = kwargs["kernel"]
@@ -504,10 +472,9 @@ def validate(
             "grid": list(kernel.grid),
             "values": list(kernel.values),
         }
-    for key in ("replicates", "max_lag"):
-        if key in allowed:
-            # the field defaults of ExperimentConfig are the only copy
-            canonical[key] = kwargs.get(key, getattr(ExperimentConfig, key))
+    if "replicates" in spec.optional:
+        # the field default of ExperimentConfig is the only copy
+        canonical["replicates"] = kwargs.get("replicates", ExperimentConfig.replicates)
 
     return ExperimentConfig(
         experiment=experiment,

@@ -192,14 +192,6 @@ class Kernel:
             total += _qs_tail_bound(_ENVELOPE_EXTENT) ** 2 * _ENVELOPE_EXTENT / 3.0
         return total
 
-    @cached_property
-    def q(self) -> float:
-        return kernel_kq(self)[0]
-
-    @cached_property
-    def k_q(self) -> float:
-        return kernel_kq(self)[1]
-
 
 def _qs_tail_bound(x: float) -> float:
     """Decreasing majorant of |K(x)| for the quadratic spectral kernel:
@@ -526,7 +518,6 @@ class MSEReport:
     bias: BiasDecomposition
     variance_bound_c_free: float
     squared_bias_leading: float
-    gamma_q: float
     sigma2_true: float
 
     def __post_init__(self):
@@ -552,7 +543,6 @@ def mse_bound(
     if not report.all_pass:
         raise ValueError(f"kernel fails its assumptions: {report}")
     if report.degenerate_limit or report.k_q == 0.0:
-        gq = 0.0
         squared_leading = 0.0
     else:
         gq = gamma_q(model, report.q, tail_tol)
@@ -561,7 +551,6 @@ def mse_bound(
         bias=exact_bias(model, kernel, m, n),
         variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
         squared_bias_leading=squared_leading,
-        gamma_q=gq,
         sigma2_true=lrv_true(model),
     )
 

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -42,7 +43,6 @@ def _config(**overrides) -> str:
 def test_defaults_are_filled():
     cfg = validate(_config())
     assert cfg.replicates == 100000
-    assert cfg.max_lag == 64
     assert cfg.tolerances["assert_sigmas"] == 4.0
     assert cfg.fmt == "csv"
     assert cfg.out is None
@@ -50,9 +50,9 @@ def test_defaults_are_filled():
 
 def test_omitted_defaults_hash_like_stated_ones():
     omitted = validate(_config())
-    stated = validate(_config(replicates=100000, max_lag=64))
+    stated = validate(_config(replicates=100000))
     assert omitted.config_hash == stated.config_hash
-    assert (omitted.replicates, omitted.max_lag) == (stated.replicates, stated.max_lag)
+    assert omitted.replicates == stated.replicates
 
 
 def test_every_named_kernel_builds_and_others_are_exit_two(tmp_path, capsys):
@@ -130,6 +130,96 @@ def test_experiment_must_be_known():
 def test_section_for_wrong_experiment_is_rejected():
     with pytest.raises(ConfigError, match="kernel"):
         validate(_config(kernel={"name": "bartlett"}))
+
+
+def _refused(tmp_path, capsys, text: str, field: str) -> None:
+    """validate names ``field`` in a ConfigError, and the CLI exits 2 on it."""
+    with pytest.raises(ConfigError, match=re.escape(f"{field}:")):
+        validate(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    experiment = re.search(r'"experiment": "(\w+)"', text)[1]
+    assert cli_main([experiment, "--config", str(path)]) == 2
+    assert f"invalid config: {field}:" in capsys.readouterr().err
+
+
+_HUGE = 10**400  # an integer literal no double can hold
+_QUADFORM = json.loads(_config())
+_FOURTH = {**_QUADFORM, "experiment": "fourth_moment", "vector": {"kind": "ones", "p": 2}}
+del _FOURTH["matrix"]
+_GRID = {
+    "experiment": "stieltjes_grid",
+    "seed": 1,
+    "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
+    "grid": {"re_min": 0.5, "re_max": 1.5, "points": 2, "im": 1.0},
+}
+_LRV = {
+    "experiment": "lrv_mse",
+    "seed": 1,
+    "model": {"name": "rademacher_iid"},
+    "kernel": {"name": "bartlett"},
+    "sweep": [[100, 4.0]],
+}
+_TABLE = {"experiment": "kernel_check", "seed": 1}
+
+
+def _numeric_fields(x) -> list:
+    """(config, field) for each config number, with ``x`` written as that number."""
+    explicit = {"kind": "explicit"}
+    table = {"name": "tabulated", "grid": [0.0, 1.0], "values": [1.0, 0.0]}
+    cases = {
+        "model.rho": (_QUADFORM, "model", {"name": "gaussian_ar1", "rho": x}),
+        "model.coeffs[1]": (_QUADFORM, "model", {"name": "gaussian_ma", "coeffs": [1.0, x]}),
+        "matrix.entries[0][1]": (_QUADFORM, "matrix", {**explicit, "entries": [[0, x], [1, 0]]}),
+        "vector.entries[1]": (_FOURTH, "vector", {**explicit, "entries": [1.0, x]}),
+        "spectral.c": (_GRID, "spectral", {"atoms": [[1.0, 1.0]], "c": x}),
+        "spectral.atoms[0][0]": (_GRID, "spectral", {"atoms": [[x, 1.0]], "c": 0.5}),
+        "grid.im": (_GRID, "grid", {**_GRID["grid"], "im": x}),
+        "tolerances.assert_sigmas": (_QUADFORM, "tolerances", {"assert_sigmas": x}),
+        "sweep[0][1]": (_LRV, "sweep", [[100, x]]),
+        "kernel.grid[1]": (_TABLE, "kernel", {**table, "grid": [0.0, x]}),
+        "kernel.values[1]": (_TABLE, "kernel", {**table, "values": [1.0, x]}),
+    }
+    return [
+        pytest.param(json.dumps({**base, key: value}), field, id=field)
+        for field, (base, key, value) in cases.items()
+    ]
+
+
+@pytest.mark.parametrize("text, field", _numeric_fields(_HUGE))
+def test_integer_too_large_for_a_double_is_exit_two(tmp_path, capsys, text, field):
+    _refused(tmp_path, capsys, text, field)
+
+
+# the list items among the fields above
+@pytest.mark.parametrize("text, field", [c for c in _numeric_fields("ITEM") if "[" in c.id])
+@pytest.mark.parametrize("item", ["0.5", True], ids=["string", "bool"])
+def test_non_numeric_list_items_are_exit_two(tmp_path, capsys, item, text, field):
+    _refused(tmp_path, capsys, text.replace('"ITEM"', json.dumps(item)), field)
+
+
+def test_repeated_key_is_exit_two(tmp_path, capsys):
+    text = _config()[:-1] + ', "seed": 2}'
+    _refused(tmp_path, capsys, text, "seed")
+    nested = _config(model={"name": "rademacher_iid"}).replace(
+        '"name": "rademacher_iid"', '"name": "rademacher_iid", "name": "gaussian_ar1"'
+    )
+    _refused(tmp_path, capsys, nested, "name")
+
+
+def test_integer_past_the_parser_digit_limit_is_exit_two(tmp_path, capsys):
+    text = _config()[:-1] + ', "replicates": ' + "9" * 5000 + "}"
+    _refused(tmp_path, capsys, text, "parse error")
+
+
+def test_matrix_seed_must_fit_in_64_bits(tmp_path, capsys):
+    matrix = {"kind": "gaussian", "p": 3}
+    validate(_config(matrix={**matrix, "seed": 2**64 - 1}))
+    _refused(tmp_path, capsys, _config(matrix={**matrix, "seed": 2**64}), "matrix.seed")
+
+
+def test_max_lag_is_an_unknown_key(tmp_path, capsys):
+    _refused(tmp_path, capsys, _config(max_lag=64), "max_lag")
 
 
 # --------------------------------------------------------------------- hashing
