@@ -12,9 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
-from quadvar.longrun import Kernel, estimate_lrv, lrv_true, mse_bound
+from quadvar.longrun import Kernel, lrv_true, mc_mse, mse_bound
 from quadvar.models import GaussianAR1, dependence_profile, generate_paths
 
 
@@ -40,8 +38,7 @@ def main() -> int:
     print(f"true long-run variance: {sigma2:.6f}")
     print(f"{'m':>8s} {'mc_mse':>12s} {'var_bound':>12s} {'sq_bias':>12s}")
     for m in args.bandwidths:
-        values = np.array([estimate_lrv(row, kernel, m) for row in paths])
-        mse = float(np.mean((values - sigma2) ** 2))
+        mse = mc_mse(paths, kernel, m, sigma2)
         report = mse_bound(profile, model, kernel, m, args.n)
         print(
             f"{m:8.1f} {mse:12.6f} "

@@ -156,9 +156,43 @@ def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
     return obj
 
 
+# The keys each model name and each matrix or vector kind reads, besides
+# the key that names it. A section may hold no other key: one its kind never
+# reads would be ignored, yet hashed.
+_MODEL_KEYS = {
+    "gaussian_ar1": ("rho",),
+    "gaussian_ma": ("coeffs",),
+    "rademacher_iid": (),
+    "rademacher_product_mds": (),
+}
+_MATRIX_KEYS = {
+    "explicit": ("entries",),
+    "hollow_ones": ("p",),
+    "identity": ("p",),
+    "gaussian": ("p", "seed", "hollow"),
+}
+_VECTOR_KEYS = {"explicit": ("entries",), "ones": ("p",)}
+
+
+def _reads_only(section: dict, where: str, kind: str, keys) -> None:
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{where}.{key}: unknown key for {kind}")
+
+
+def _kind_section(obj: Any, where: str, tag: str, kinds: dict, what: str) -> tuple[dict, str]:
+    """A section whose ``tag`` names one of ``kinds``, and that name; every
+    other key must be one that ``kinds`` lists for it."""
+    section = _section(obj, where, {tag}.union(*kinds.values()), {tag})
+    kind = _expect(section[tag], str, f"{where}.{tag}")
+    if kind not in kinds:
+        raise ConfigError(f"{where}.{tag}: unknown {what} {kind!r}")
+    _reads_only(section, where, kind, (tag, *kinds[kind]))
+    return section, kind
+
+
 def _build_model(section: Any, where: str) -> CovarianceModel:
-    section = _section(section, where, {"name", "rho", "coeffs"}, {"name"})
-    name = _expect(section["name"], str, f"{where}.name")
+    section, name = _kind_section(section, where, "name", _MODEL_KEYS, "model")
     if name == "gaussian_ar1":
         rho = _real(_required(section, "rho", where, name), f"{where}.rho")
         try:
@@ -173,14 +207,11 @@ def _build_model(section: Any, where: str) -> CovarianceModel:
             raise ConfigError(f"{where}.coeffs: {exc}") from exc
     if name == "rademacher_iid":
         return RademacherIID()
-    if name == "rademacher_product_mds":
-        return RademacherProductMDS()
-    raise ConfigError(f"{where}.name: unknown model {name!r}")
+    return RademacherProductMDS()
 
 
 def _build_matrix(section: Any, where: str) -> np.ndarray:
-    section = _section(section, where, {"kind", "p", "seed", "hollow", "entries"}, {"kind"})
-    kind = _expect(section["kind"], str, f"{where}.kind")
+    section, kind = _kind_section(section, where, "kind", _MATRIX_KEYS, "matrix kind")
     if kind == "explicit":
         rows = _required(section, "entries", where, "explicit matrices")
         rows = _expect(rows, list, f"{where}.entries")
@@ -194,29 +225,24 @@ def _build_matrix(section: Any, where: str) -> np.ndarray:
         return A
     if kind == "identity":
         return np.eye(p)
-    if kind == "gaussian":
-        seed = _required(section, "seed", where, "gaussian matrices")
-        seed = _expect_seed(seed, f"{where}.seed")
-        hollow = section.get("hollow", False)
-        if not isinstance(hollow, bool):
-            raise ConfigError(f"{where}.hollow: expected bool")
-        return gaussian_test_matrix(p, seed, hollow=hollow)
-    raise ConfigError(f"{where}.kind: unknown matrix kind {kind!r}")
+    seed = _required(section, "seed", where, "gaussian matrices")
+    seed = _expect_seed(seed, f"{where}.seed")
+    hollow = section.get("hollow", False)
+    if not isinstance(hollow, bool):
+        raise ConfigError(f"{where}.hollow: expected bool")
+    return gaussian_test_matrix(p, seed, hollow=hollow)
 
 
 def _build_vector(section: Any, where: str) -> np.ndarray:
-    section = _section(section, where, {"kind", "p", "entries"}, {"kind"})
-    kind = _expect(section["kind"], str, f"{where}.kind")
+    section, kind = _kind_section(section, where, "kind", _VECTOR_KEYS, "vector kind")
     if kind == "explicit":
         entries = _required(section, "entries", where, "explicit vectors")
         a = np.array(_floats(entries, f"{where}.entries"))
         if a.size == 0:
             raise ConfigError(f"{where}.entries: expected a non-empty finite 1-D array")
         return a
-    if kind == "ones":
-        p = _required(section, "p", where, "ones vectors")
-        return np.ones(_expect_int(p, f"{where}.p", minimum=1))
-    raise ConfigError(f"{where}.kind: unknown vector kind {kind!r}")
+    p = _required(section, "p", where, "ones vectors")
+    return np.ones(_expect_int(p, f"{where}.p", minimum=1))
 
 
 def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
@@ -239,9 +265,11 @@ def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
     try:
-        return Kernel(name)
+        kernel = Kernel(name)
     except ValueError:
         raise ConfigError(f"{where}.name: unknown kernel {name!r}") from None
+    _reads_only(section, where, name, ("name",))  # the table keys are tabulated's
+    return kernel
 
 
 def _build_spectral(section: Any, where: str) -> SpectralModel:

@@ -46,6 +46,7 @@ __all__ = [
     "kernel_kq",
     "check_assumptions",
     "estimate_lrv",
+    "mc_mse",
     "lrv_true",
     "gamma_q",
     "exact_bias",
@@ -366,6 +367,14 @@ def estimate_lrv(path, kernel: Kernel, m: float) -> float:
             if w != 0.0:
                 total += 2.0 * w * float(x[:-j] @ x[j:])
     return total / n
+
+
+def mc_mse(paths, kernel: Kernel, m: float, sigma2: float) -> float:
+    """Monte Carlo MSE of ``estimate_lrv`` against ``sigma2``: the mean of
+    (sigma2_hat - sigma2)^2 over the rows of a (replicates, n) block, one
+    ``estimate_lrv`` call per row."""
+    values = np.array([estimate_lrv(row, kernel, m) for row in paths])
+    return float(np.mean((values - sigma2) ** 2))
 
 
 def _autocov_tail_sum(model: CovarianceModel, start: int) -> float:

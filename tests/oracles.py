@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from quadvar.longrun import estimate_lrv
+from quadvar.models import generate_paths
 from quadvar.spectral import SpectralModel
 
 
@@ -176,3 +178,12 @@ def szego_midpoint_law(model, law, nodes) -> SpectralModel:
     lam = np.multiply.outer(law.lambdas, f).ravel()
     weight = np.repeat(law.weights / nodes, nodes)
     return SpectralModel(atoms=tuple(zip(lam.tolist(), weight.tolist())), c=law.c)
+
+
+def lrv_mc_mse_reference(cfg, n: int, m: float, sigma2: float) -> float:
+    """Monte Carlo MSE of the long-run variance estimator at one ``lrv_mse``
+    sweep point, from a (replicates, n) block drawn for that point alone,
+    with nothing shared between points."""
+    paths = generate_paths(cfg.model, n, cfg.seed, cfg.replicates)
+    values = np.array([estimate_lrv(row, cfg.kernel, m) for row in paths])
+    return float(np.mean((values - sigma2) ** 2))

@@ -15,9 +15,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import lrv_mc_mse_reference
 from quadvar import runner
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
+from quadvar.longrun import lrv_true
 from quadvar.models import RademacherIID, RademacherProductMDS
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
 
@@ -222,6 +224,42 @@ def test_max_lag_is_an_unknown_key(tmp_path, capsys):
     _refused(tmp_path, capsys, _config(max_lag=64), "max_lag")
 
 
+@pytest.mark.parametrize(
+    "section, value, field",
+    [
+        pytest.param(section, value, field, id=field)
+        for section, value, field in [
+            ("model", {"name": "rademacher_iid", "rho": 0.3}, "model.rho"),
+            ("model", {"name": "gaussian_ar1", "rho": 0.3, "coeffs": [1.0]}, "model.coeffs"),
+            ("matrix", {"kind": "identity", "p": 2, "hollow": True}, "matrix.hollow"),
+            ("matrix", {"kind": "explicit", "entries": [[1.0]], "p": 1}, "matrix.p"),
+            ("matrix", {"kind": "hollow_ones", "p": 2, "seed": 3}, "matrix.seed"),
+        ]
+    ],
+)
+def test_key_the_kind_never_reads_is_exit_two(tmp_path, capsys, section, value, field):
+    kind = value.get("name", value.get("kind"))
+    text = _config(**{section: value})
+    with pytest.raises(ConfigError, match=re.escape(f"{field}: unknown key for {kind}")):
+        validate(text)
+    _refused(tmp_path, capsys, text, field)
+
+
+def test_vector_and_kernel_keys_the_kind_never_reads_are_exit_two(tmp_path, capsys):
+    vector = {"kind": "ones", "p": 2, "entries": [1.0, 2.0]}
+    _refused(tmp_path, capsys, json.dumps({**_FOURTH, "vector": vector}), "vector.entries")
+    kernel = {"name": "bartlett", "grid": [0.0, 1.0], "values": [1.0, 0.0]}
+    _refused(tmp_path, capsys, json.dumps({**_LRV, "kernel": kernel}), "kernel.grid")
+
+
+def test_nan_in_a_key_the_kind_never_reads_is_exit_two(tmp_path, capsys):
+    # json reads NaN, and the hash raises TypeError on it: the key must be refused first
+    text = _config(model={"name": "rademacher_iid"}).replace(
+        '"name": "rademacher_iid"', '"name": "rademacher_iid", "rho": NaN'
+    )
+    _refused(tmp_path, capsys, text, "model.rho")
+
+
 # --------------------------------------------------------------------- hashing
 
 
@@ -344,19 +382,22 @@ def _lrv_config(sweep, replicates):
 
 
 def test_lrv_mse_sweep_holds_one_path_block():
-    cfg = _lrv_config([[20_000, 2.0], [20_000, 8.0]], 20)
-    run(cfg)  # numpy's lazy set-up and the kernel's cached values are not counted
-    tracemalloc.start()
-    try:
-        run(cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    block = 8 * 20 * 20_000
-    assert peak <= block + 2**20
+    # the second sweep interleaves two n: a loop that rebinds its block keeps
+    # the 20 000-wide one alive while it draws the 10 000-wide one
+    for sweep in ([[20_000, 2.0], [20_000, 8.0]], [[20_000, 2.0], [10_000, 2.0], [20_000, 8.0]]):
+        cfg = _lrv_config(sweep, 20)
+        run(cfg)  # numpy's lazy set-up and the kernel's cached values are not counted
+        tracemalloc.start()
+        try:
+            run(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = 8 * 20 * 20_000
+        assert peak <= block + 2**20, sweep
 
 
-def test_lrv_mse_draws_one_block_per_sweep_point(monkeypatch):
+def test_lrv_mse_draws_one_block_per_distinct_n(monkeypatch):
     calls = []
     draw = runner.generate_paths
 
@@ -365,9 +406,21 @@ def test_lrv_mse_draws_one_block_per_sweep_point(monkeypatch):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(runner, "generate_paths", recording)
-    cfg = _lrv_config([[300, 2.0], [300, 8.0], [600, 4.0]], 5)
+    cfg = _lrv_config([[300, 2.0], [600, 4.0], [300, 8.0]], 5)
     run(cfg)
-    assert calls == [((cfg.model, n, cfg.seed, 5), {}) for n, _ in cfg.sweep]
+    assert calls == [((cfg.model, n, cfg.seed, 5), {}) for n in (300, 600)]
+
+
+def test_lrv_mse_matches_the_per_point_reference_bit_for_bit():
+    # interleaved n, a repeated n with another m, and a repeated (n, m) pair
+    sweep = [[300, 2.0], [600, 4.0], [300, 8.0], [600, 4.0], [300, 2.0]]
+    cfg = _lrv_config(sweep, 7)
+    sigma2 = lrv_true(cfg.model)
+    records = run(cfg)
+    assert [(r.metrics["n"], r.metrics["m"]) for r in records] == list(cfg.sweep)
+    for record, (n, m) in zip(records, cfg.sweep):
+        want = lrv_mc_mse_reference(cfg, n, m, sigma2)
+        assert record.metrics["mc_mse"].hex() == want.hex(), (n, m)
 
 
 @pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
