@@ -66,6 +66,7 @@ from .spectral import (
     population_sigma,
     sample_covariance_matrix,
     scaled_paths,
+    solve_stieltjes,
     symmetric_eigenvalues,
 )
 

@@ -43,6 +43,11 @@ __all__ = [
 ]
 
 _MAX_SEED = (1 << 64) - 1
+# Doubles one array built from a size in the config may hold: p * p for a
+# matrix, p for a vector, atoms * points for the stieltjes_grid solve block.
+# 2**24 doubles is 128 MiB; a larger size is refused before anything is
+# allocated, rather than failing in numpy.
+_MAX_DOUBLES = 1 << 24
 
 
 class ConfigError(ValueError):
@@ -103,6 +108,11 @@ def _expect_seed(obj: Any, where: str) -> int:
     if seed > _MAX_SEED:
         raise ConfigError(f"{where}: must fit in 64 bits, got {seed}")
     return seed
+
+
+def _check_doubles(count: int, where: str, what: str) -> None:
+    if count > _MAX_DOUBLES:
+        raise ConfigError(f"{where}: {what} = {count} exceeds the cap of {_MAX_DOUBLES} doubles")
 
 
 def _real(obj: Any, where: str) -> float:
@@ -219,6 +229,7 @@ def _build_matrix(section: Any, where: str) -> np.ndarray:
             raise ConfigError(f"{where}.entries: expected a non-empty square matrix")
         return np.array([_floats(row, f"{where}.entries[{i}]") for i, row in enumerate(rows)])
     p = _expect_int(_required(section, "p", where, f"{kind} matrices"), f"{where}.p", minimum=1)
+    _check_doubles(p * p, f"{where}.p", "p^2")
     if kind == "hollow_ones":
         A = np.ones((p, p))
         np.fill_diagonal(A, 0.0)
@@ -241,8 +252,9 @@ def _build_vector(section: Any, where: str) -> np.ndarray:
         if a.size == 0:
             raise ConfigError(f"{where}.entries: expected a non-empty finite 1-D array")
         return a
-    p = _required(section, "p", where, "ones vectors")
-    return np.ones(_expect_int(p, f"{where}.p", minimum=1))
+    p = _expect_int(_required(section, "p", where, "ones vectors"), f"{where}.p", minimum=1)
+    _check_doubles(p, f"{where}.p", "p")
+    return np.ones(p)
 
 
 def _build_kernel(section: Any, where: str, config_dir: Path | None) -> Kernel:
@@ -473,6 +485,9 @@ def validate(
         kwargs[key] = builders[key](raw[key], key)
     if experiment == "esd":
         _check_esd(raw["spectral"]["atoms"], kwargs["sizes"])
+    if experiment == "stieltjes_grid":
+        block = len(kwargs["spectral"].atoms) * kwargs["grid"]["points"]
+        _check_doubles(block, "grid.points", "atoms x points")
 
     out = raw.get("out")
     if out is not None:

@@ -43,9 +43,9 @@ from .spectral import (
     effective_spectral_model,
     kolmogorov_distance,
     limit_cdf,
-    limit_stieltjes,
     mp_stieltjes,
     sample_covariance_matrix,
+    solve_stieltjes,
     symmetric_eigenvalues,
 )
 
@@ -202,25 +202,26 @@ def _run_stieltjes_grid(cfg: ExperimentConfig) -> list[dict]:
     tol = cfg.tolerances["tol"]
     max_iter = int(cfg.tolerances["max_iter"])
     atol = cfg.tolerances["closed_form_atol"]
-    xs = np.linspace(grid["re_min"], grid["re_max"], grid["points"])
+    zs = np.linspace(grid["re_min"], grid["re_max"], grid["points"]).astype(complex)
+    zs.imag = grid["im"]
+    m, residual, iterations = solve_stieltjes(law, zs, tol=tol, max_iter=max_iter)
     single_unit_atom = law.atoms == ((1.0, 1.0),)
     rows = []
-    for x in xs:
-        z = complex(float(x), grid["im"])
-        sv = limit_stieltjes(law, z, tol=tol, max_iter=max_iter)
+    for z, mz, res, steps in zip(
+        zs.tolist(), m.tolist(), residual.tolist(), iterations.tolist()
+    ):
         row = {
             "re_z": z.real,
             "im_z": z.imag,
-            "m_re": sv.m.real,
-            "m_im": sv.m.imag,
-            "residual": sv.residual,
-            "iterations": sv.iterations,
-            "assert_residual": int(sv.residual <= tol),
-            "assert_upper_half": int(sv.m.imag > 0.0),
+            "m_re": mz.real,
+            "m_im": mz.imag,
+            "residual": res,
+            "iterations": steps,
+            "assert_residual": int(res <= tol),
+            "assert_upper_half": int(mz.imag > 0.0),
         }
         if single_unit_atom:
-            closed = mp_stieltjes(law.c, z)
-            err = abs(sv.m - closed)
+            err = abs(mz - mp_stieltjes(law.c, z))
             row["closed_form_abs_err"] = err
             row["assert_closed_form"] = int(err <= atol)
         rows.append(row)

@@ -9,10 +9,12 @@ of the limit law's Stieltjes fixed-point equation
 
 where the (lambda_k, w_k) atoms describe the limiting population spectrum
 and c is the dimension-to-sample ratio.  One solver serves every limit-law
-route (``limit_stieltjes``, ``density_grid``, ``limit_cdf``): the companion
-iteration v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on
-v = -(1-c)/z + c m, which keeps v in the upper half-plane, with a Newton step
-tried first and kept only where it stays there and lowers |m - F(m)|.
+route: the companion iteration
+v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on v = -(1-c)/z + c m,
+which keeps v in the upper half-plane, with a Newton step tried first and
+kept only where it stays there and lowers |m - F(m)|.  ``solve_stieltjes``
+is its one checked entry point, which ``limit_stieltjes`` and
+``density_grid`` call; ``limit_cdf`` checks its own warm-started solves.
 Eigenvalues come from one in-house route, Householder tridiagonalisation
 followed by Sturm-count bisection, built from ufunc reductions so that no
 BLAS thread count can change their bits; LAPACK is its oracle in the tests,
@@ -43,6 +45,7 @@ from .models import (
     autocovariance,
     generate_paths,
 )
+from .quadform import _check_symmetric
 
 __all__ = [
     "ConvergenceError",
@@ -53,6 +56,7 @@ __all__ = [
     "sample_covariance_matrix",
     "symmetric_eigenvalues",
     "empirical_stieltjes",
+    "solve_stieltjes",
     "limit_stieltjes",
     "mp_stieltjes",
     "density_from_stieltjes",
@@ -334,8 +338,7 @@ def symmetric_eigenvalues(S) -> np.ndarray:
         raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
-    if float(np.abs(A - A.T).max()) > 1e-10 * float(np.abs(A).max()):
-        raise ValueError("eigenvalues need a symmetric matrix")
+    _check_symmetric(A, 1e-10, "S")
     return _sturm_eigenvalues(*_tridiagonalise(A))[0]
 
 
@@ -445,15 +448,19 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     rho != 0 each atom's term is its average over theta in closed form
     (``_szego_sums``); only those sums depend on rho.
 
+    Nothing here checks convergence: ``solve_stieltjes`` is the one checked
+    entry point, and ``limit_cdf`` checks its own warm-started pair.
+
     Their bits depend on the shape of the block they run in: one point's
     column alone is a 1-D pairwise sum, while inside an atoms x points block
     with more than one point each column is summed in sequence; numpy's
     in-place complex product (``term *= inv``) can also round a one-element
-    block differently from a longer one.  So ``limit_stieltjes(z)`` and
-    ``density_grid`` at the same z can differ in the last bits, and a change
-    here must keep the shape of every operation; that is why the companion
-    residual is formed on the whole unconverged set whenever any Newton step
-    is rejected, not on the rejected points.
+    block differently from a longer one.  So ``limit_stieltjes(z)`` and a
+    grid solve (``solve_stieltjes`` on many points, ``density_grid``) at the
+    same z can differ in the last bits, and a change here must keep the
+    shape of every operation; that is why the companion residual is formed
+    on the whole unconverged set whenever any Newton step is rejected, not
+    on the rejected points.
     """
     zs = np.asarray(zs, dtype=complex)
     cz = c * zs
@@ -494,37 +501,58 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     return m, residual, iterations
 
 
+def solve_stieltjes(
+    law: SpectralModel, zs, tol: float = 1e-12, max_iter: int = 10000
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Solve the limit-law fixed point at every z of ``zs`` in one block.
+
+    Every z must lie in the upper half-plane.  Returns the arrays (m,
+    residual, iterations), one entry per z: ``iterations`` counts the
+    solver's steps, Newton or companion.  Convergence requires the defining
+    residual <= tol and Im m > 0 (the Stieltjes branch) at every z; the
+    first z in input order that misses either raises ConvergenceError.  For
+    c > 1 with |z| near 0.01 or below, |m| ~ (1 - 1/c)/|z| and the residual
+    evaluated in double precision can exceed 1e-12 even at the correctly
+    rounded root (c = 3, two atoms {1, 2}, z = 0.01i: 1.35e-12), so the
+    default tol raises ConvergenceError there.
+    """
+    zs = np.asarray(zs, dtype=complex)
+    if zs.ndim != 1:
+        raise ValueError(f"zs must be a 1-D array, got shape {zs.shape}")
+    below = np.flatnonzero(~(zs.imag > 0.0))
+    if below.size:
+        _require_upper_half(zs[below[0]])  # raises, naming the first such z
+    m, residual, iterations = _solve_points(
+        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
+    )
+    failed = np.flatnonzero((residual > tol) | ~(m.imag > 0.0))
+    if failed.size:
+        i = failed[0]
+        z = complex(zs[i])
+        if residual[i] > tol:
+            raise ConvergenceError(
+                f"no fixed point within {max_iter} iterations at z = {z} "
+                f"(residual {float(residual[i]):.3e})"
+            )
+        raise ConvergenceError(f"branch failure at z = {z}: Im m = {m[i].imag:.3e} <= 0")
+    return m, residual, iterations
+
+
 def limit_stieltjes(
     law: SpectralModel, z: complex, tol: float = 1e-12, max_iter: int = 10000
 ) -> StieltjesValue:
-    """Solve the limit-law fixed point at one z.
+    """Solve the limit-law fixed point at one z: ``solve_stieltjes`` on the
+    one-point block [z], with its checks and its ConvergenceError.
 
-    Starts at m = -1/z and runs the companion iteration on
-    v = -(1-c)/z + c m, taking a Newton step instead wherever that step stays
-    in the upper half-plane and lowers the defining residual |m - F(m)|.
-    ``iterations`` counts those steps, Newton or companion.  Convergence
-    requires the defining residual <= tol and Im m > 0 (the Stieltjes
-    branch).  For c > 1 with |z| near 0.01 or below, |m| ~ (1 - 1/c)/|z| and
-    the residual evaluated in double precision can exceed 1e-12 even at the
-    correctly rounded root (c = 3, two atoms {1, 2}, z = 0.01i: 1.35e-12), so
-    the default tol raises ConvergenceError there.
+    A one-point block sums over atoms in another order than a longer one
+    (see ``_solve_points``), so m here and in a grid solve at the same z can
+    differ in the last bits.
     """
-    z = _require_upper_half(z)
-    zs = np.array([z], dtype=complex)
-    m_arr, res_arr, iter_arr = _solve_points(
-        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
+    z = complex(z)
+    m, residual, iterations = solve_stieltjes(law, [z], tol=tol, max_iter=max_iter)
+    return StieltjesValue(
+        z=z, m=complex(m[0]), residual=float(residual[0]), iterations=int(iterations[0])
     )
-    m = complex(m_arr[0])
-    residual = float(res_arr[0])
-    iterations = int(iter_arr[0])
-    if residual > tol:
-        raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations at z = {z} "
-            f"(residual {residual:.3e})"
-        )
-    if not (m.imag > 0.0):
-        raise ConvergenceError(f"branch failure at z = {z}: Im m = {m.imag:.3e} <= 0")
-    return StieltjesValue(z=z, m=m, residual=residual, iterations=iterations)
 
 
 def mp_stieltjes(c: float, z: complex) -> complex:
@@ -575,22 +603,14 @@ def density_grid(
     tol: float = 1e-9,
     max_iter: int = 200000,
 ) -> np.ndarray:
-    """Smoothed density at every grid abscissa in one vectorised solve."""
+    """Smoothed density Im m(x + i*epsilon) / pi at every abscissa of ``xs``,
+    solved in one block by ``solve_stieltjes``."""
     if not (epsilon > 0.0):
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
-    zs = xs + 1j * epsilon
-    m, residual, _ = _solve_points(
-        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
-    )
-    if bool((residual > tol).any()):
-        worst = int(np.argmax(residual))
-        raise ConvergenceError(
-            f"no fixed point within {max_iter} iterations at z = {zs[worst]} "
-            f"(residual {float(residual[worst]):.3e})"
-        )
+    m, _, _ = solve_stieltjes(law, xs + 1j * epsilon, tol=tol, max_iter=max_iter)
     return m.imag / math.pi
 
 

@@ -10,7 +10,7 @@ import numpy as np
 
 from quadvar.longrun import estimate_lrv
 from quadvar.models import generate_paths
-from quadvar.spectral import SpectralModel
+from quadvar.spectral import SpectralModel, limit_stieltjes, mp_stieltjes
 
 
 class NotPositiveDefiniteError(ValueError):
@@ -187,3 +187,36 @@ def lrv_mc_mse_reference(cfg, n: int, m: float, sigma2: float) -> float:
     paths = generate_paths(cfg.model, n, cfg.seed, cfg.replicates)
     values = np.array([estimate_lrv(row, cfg.kernel, m) for row in paths])
     return float(np.mean((values - sigma2) ** 2))
+
+
+def stieltjes_grid_reference(cfg) -> list[dict]:
+    """The ``stieltjes_grid`` records with one ``limit_stieltjes`` call per
+    grid point, each point solved alone as a one-point block."""
+    law = cfg.spectral
+    grid = cfg.grid
+    tol = cfg.tolerances["tol"]
+    max_iter = int(cfg.tolerances["max_iter"])
+    atol = cfg.tolerances["closed_form_atol"]
+    xs = np.linspace(grid["re_min"], grid["re_max"], grid["points"])
+    single_unit_atom = law.atoms == ((1.0, 1.0),)
+    rows = []
+    for x in xs:
+        z = complex(float(x), grid["im"])
+        sv = limit_stieltjes(law, z, tol=tol, max_iter=max_iter)
+        row = {
+            "re_z": z.real,
+            "im_z": z.imag,
+            "m_re": sv.m.real,
+            "m_im": sv.m.imag,
+            "residual": sv.residual,
+            "iterations": sv.iterations,
+            "assert_residual": int(sv.residual <= tol),
+            "assert_upper_half": int(sv.m.imag > 0.0),
+        }
+        if single_unit_atom:
+            closed = mp_stieltjes(law.c, z)
+            err = abs(sv.m - closed)
+            row["closed_form_abs_err"] = err
+            row["assert_closed_form"] = int(err <= atol)
+        rows.append(row)
+    return rows

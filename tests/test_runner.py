@@ -1,6 +1,7 @@
 """Config validation, canonical hashing, record emission, CLI exit codes."""
 
 import csv
+import dataclasses
 import itertools
 import json
 import math
@@ -15,13 +16,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from oracles import lrv_mc_mse_reference
+from oracles import lrv_mc_mse_reference, stieltjes_grid_reference
 from quadvar import runner
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
 from quadvar.longrun import lrv_true
 from quadvar.models import RademacherIID, RademacherProductMDS
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
+from quadvar.spectral import ConvergenceError, SpectralModel
 
 
 REPO = Path(__file__).resolve().parent.parent
@@ -252,6 +254,40 @@ def test_vector_and_kernel_keys_the_kind_never_reads_are_exit_two(tmp_path, caps
     _refused(tmp_path, capsys, json.dumps({**_LRV, "kernel": kernel}), "kernel.grid")
 
 
+@pytest.mark.parametrize(
+    "text, field",
+    [
+        # numpy refuses the shape with a ValueError
+        pytest.param(
+            _config(matrix={"kind": "identity", "p": _HUGE}), "matrix.p", id="matrix_huge"
+        ),
+        # 7.3 TiB as doubles, a MemoryError
+        pytest.param(_config(matrix={"kind": "hollow_ones", "p": 10**6}), "matrix.p", id="matrix"),
+        pytest.param(
+            _config(matrix={"kind": "gaussian", "p": 4097, "seed": 1}), "matrix.p", id="matrix_4097"
+        ),
+        pytest.param(
+            json.dumps({**_FOURTH, "vector": {"kind": "ones", "p": 2**24 + 1}}),
+            "vector.p",
+            id="vector",
+        ),
+        pytest.param(
+            json.dumps(
+                {
+                    **_GRID,
+                    "spectral": {"atoms": [[1.0, 0.5], [3.0, 0.5]], "c": 0.5},
+                    "grid": {**_GRID["grid"], "points": 2**23 + 1},
+                }
+            ),
+            "grid.points",
+            id="grid",
+        ),
+    ],
+)
+def test_sizes_past_the_doubles_cap_are_exit_two(tmp_path, capsys, text, field):
+    _refused(tmp_path, capsys, text, field)
+
+
 def test_nan_in_a_key_the_kind_never_reads_is_exit_two(tmp_path, capsys):
     # json reads NaN, and the hash raises TypeError on it: the key must be refused first
     text = _config(model={"name": "rademacher_iid"}).replace(
@@ -364,6 +400,101 @@ def test_failed_assertion_is_recorded_not_raised():
     records = run(cfg)
     assert records[0].metrics["assert_closed_form"] == 0
     assert not assertions_pass(records)
+
+
+def _grid_config(atoms, c, re_min, re_max, points, im, **tolerances):
+    return validate(
+        json.dumps(
+            {
+                "experiment": "stieltjes_grid",
+                "seed": 1,
+                "spectral": {"atoms": atoms, "c": c},
+                "grid": {"re_min": re_min, "re_max": re_max, "points": points, "im": im},
+                "tolerances": tolerances,
+            }
+        )
+    )
+
+
+def _hex_cells(row: dict) -> dict:
+    return {key: value.hex() if isinstance(value, float) else value for key, value in row.items()}
+
+
+@pytest.mark.parametrize(
+    "path",
+    [
+        REPO / "configs" / "stieltjes_grid.json",
+        REPO / "bench" / "configs" / "spectral_esd" / "stieltjes_grid_two_atom.json",
+    ],
+    ids=["unit_atom", "two_atom"],
+)
+def test_stieltjes_grid_matches_the_per_point_reference_bit_for_bit(path):
+    cfg = load_config(path)
+    got = [r.metrics for r in run(cfg)]
+    want = stieltjes_grid_reference(cfg)
+    assert [_hex_cells(row) for row in got] == [_hex_cells(row) for row in want]
+
+
+@pytest.mark.parametrize(
+    "law, im",
+    [
+        (SpectralModel(atoms=((1.0, 1.0),), c=0.5), 1e-3),
+        (SpectralModel(atoms=((1.0, 1.0),), c=0.5), 1e-2),
+        (SpectralModel(atoms=((0.5, 0.25), (1.0, 0.25), (2.0, 0.25), (4.0, 0.25)), c=0.5), 1e-2),
+        (SpectralModel(atoms=((1.0, 0.5), (3.0, 0.5)), c=0.5, rho=0.5), 1e-2),
+        (SpectralModel(atoms=((1.0, 0.5), (2.0, 0.5)), c=3.0), 1e-2),
+    ],
+    ids=["one_atom_im_1e-3", "one_atom_im_1e-2", "four_atoms", "ar1_rho_0.5", "c_3"],
+)
+def test_stieltjes_grid_block_agrees_with_one_point_solves(law, im):
+    """A block sums over atoms in another order than a lone point, so bits
+    may differ; the values, step counts and convergence may not."""
+    cfg = dataclasses.replace(
+        _grid_config([[1.0, 1.0]], 0.5, -1.0, 8.0, 50, im), spectral=law
+    )
+    got = runner._run_stieltjes_grid(cfg)
+    want = stieltjes_grid_reference(cfg)
+    tol = cfg.tolerances["tol"]
+    for g, w in zip(got, want, strict=True):
+        m_got, m_want = complex(g["m_re"], g["m_im"]), complex(w["m_re"], w["m_im"])
+        assert abs(m_got - m_want) <= 1e-14 * abs(m_want), g["re_z"]
+        assert g["iterations"] == w["iterations"], g["re_z"]
+        assert g["residual"] <= tol
+
+
+def test_stieltjes_grid_makes_one_solver_call(monkeypatch):
+    calls = []
+    solve = runner.solve_stieltjes
+
+    def recording(*args, **kwargs):
+        calls.append(args[1].size)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "solve_stieltjes", recording)
+    run(load_config(REPO / "configs" / "stieltjes_grid.json"))
+    assert calls == [50]
+
+
+_AT_Z = re.compile(r"at z = (\S+)")
+
+
+def test_stieltjes_grid_budget_failure_names_the_first_failing_point(tmp_path, capsys):
+    # far left of the support every point converges within two steps; the
+    # last four points, from x = -16 on, do not
+    atoms = [[1.0, 0.5], [3.0, 0.5]]
+    cfg = _grid_config(atoms, 0.5, -1000.0, 8.0, 127, 0.01, tol=1e-14, max_iter=2)
+    with pytest.raises(ConvergenceError, match="no fixed point within 2 iterations") as got:
+        run(cfg)
+    with pytest.raises(ConvergenceError) as want:
+        stieltjes_grid_reference(cfg)
+    assert _AT_Z.search(str(got.value))[1] == "(-16+0.01j)"
+    assert _AT_Z.search(str(got.value))[1] == _AT_Z.search(str(want.value))[1]
+    path = tmp_path / "budget.json"
+    path.write_text(json.dumps(cfg.canonical))
+    assert cli_main(["stieltjes_grid", "--config", str(path)]) == 1
+    assert "experiment failed: no fixed point within 2 iterations at z = (-16+0.01j)" in (
+        capsys.readouterr().err
+    )
 
 
 def _lrv_config(sweep, replicates):

@@ -45,6 +45,7 @@ from quadvar.spectral import (
     population_sigma,
     sample_covariance_matrix,
     scaled_paths,
+    solve_stieltjes,
     symmetric_eigenvalues,
 )
 
@@ -122,7 +123,7 @@ def test_symmetric_eigenvalues_matches_lapack_routes():
 
 
 def test_symmetric_eigenvalues_requires_symmetry():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"S must be symmetric \(defect 2\.000e\+00\)"):
         symmetric_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
@@ -321,6 +322,20 @@ def test_limit_stieltjes_raises_when_budget_too_small():
         limit_stieltjes(UNIT, 1.0 + 1e-6j, tol=1e-14, max_iter=2)
 
 
+def test_solve_stieltjes_rejects_any_point_off_the_upper_half_plane():
+    with pytest.raises(ValueError, match=r"half-plane, got \(2\+0j\)"):
+        solve_stieltjes(UNIT, [1.0 + 1.0j, 2.0, 3.0 - 1.0j])
+    with pytest.raises(ValueError, match="1-D"):
+        solve_stieltjes(UNIT, 1.0 + 1.0j)
+
+
+def test_limit_stieltjes_is_the_one_point_block():
+    for z in (-1.0 + 0.01j, 0.5 + 1e-3j, 2.0 + 1.0j):
+        sv = limit_stieltjes(TWO_ATOM, z)
+        m, residual, iterations = solve_stieltjes(TWO_ATOM, [z])
+        assert (sv.m, sv.residual, sv.iterations) == (m[0], residual[0], iterations[0])
+
+
 @given(
     lam2=st.floats(min_value=0.5, max_value=5.0),
     c=st.floats(min_value=0.1, max_value=3.0),
@@ -414,12 +429,21 @@ def _assert_solver_matches_reference(lam, w, c, zs, tol, max_iter, m0=None):
 
 
 def test_solver_matches_reference_one_point_at_a_time():
-    """The stieltjes_grid route: one solve per point of the 50-point grid."""
+    """The limit_stieltjes route: one-point blocks, at each point of the
+    50-point bench grid."""
     for x in np.linspace(-1.0, 8.0, 50):
         zs = np.array([complex(x, 0.01)])
         _assert_solver_matches_reference(
             TWO_ATOM.lambdas, TWO_ATOM.weights, TWO_ATOM.c, zs, 1e-12, 10000
         )
+
+
+def test_solver_matches_reference_on_the_stieltjes_grid_block():
+    """The stieltjes_grid route: the 50-point bench grid solved as one block."""
+    zs = np.linspace(-1.0, 8.0, 50) + 0.01j
+    _assert_solver_matches_reference(
+        TWO_ATOM.lambdas, TWO_ATOM.weights, TWO_ATOM.c, zs, 1e-12, 10000
+    )
 
 
 def test_solver_matches_reference_on_warm_started_cdf_grid():
@@ -489,6 +513,21 @@ def test_density_grid_matches_pointwise_solves():
     grid = density_grid(UNIT, xs, epsilon=1e-2, tol=1e-9)
     single = [density_from_stieltjes(UNIT, float(x), epsilon=1e-2, tol=1e-9) for x in xs]
     assert np.allclose(grid, single, atol=1e-9)
+
+
+def test_density_grid_raises_on_a_converged_point_off_the_branch(monkeypatch):
+    """A residual within tol does not make a point solved: Im m must be > 0."""
+    solve = spectral._solve_points
+
+    def off_branch(*args, **kwargs):
+        m, residual, iterations = solve(*args, **kwargs)
+        m[1] = m[1].conjugate()
+        residual[1] = 0.0
+        return m, residual, iterations
+
+    monkeypatch.setattr(spectral, "_solve_points", off_branch)
+    with pytest.raises(ConvergenceError, match=r"branch failure at z = \(1\+0\.01j\)"):
+        density_grid(UNIT, np.array([0.5, 1.0, 1.5]), epsilon=1e-2)
 
 
 # ------------------------------------------------------------------- limit CDF
