@@ -43,8 +43,8 @@ __all__ = [
 ]
 
 _MAX_SEED = (1 << 64) - 1
-# Doubles one array built from a size in the config may hold: p * p for a
-# matrix, p for a vector, atoms * points for the stieltjes_grid solve block.
+# Doubles one array built from a config size may hold: p * p (a matrix or an
+# esd covariance), p * n (an esd sample), p (a vector), atoms * points (a grid).
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -342,9 +342,11 @@ def _check_esd(atoms: list, sizes: tuple[tuple[int, int], ...]) -> None:
     for i, (lam, _) in enumerate(atoms):
         if not lam > 0.0:
             raise ConfigError(f"spectral.atoms[{i}][0]: esd needs lambda > 0, got {lam}")
-    for i, (p, _) in enumerate(sizes):
+    for i, (p, n) in enumerate(sizes):
         if p < len(atoms):
             raise ConfigError(f"sizes[{i}][0]: p = {p} cannot host {len(atoms)} atoms")
+        _check_doubles(p * p, f"sizes[{i}]", "p^2")
+        _check_doubles(p * n, f"sizes[{i}]", "p x n")
 
 
 @dataclass(frozen=True)

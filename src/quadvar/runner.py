@@ -27,10 +27,10 @@ from .models import (
     RademacherProductMDS,
     covariance_matrix,
     dependence_profile,
-    exact_product_moment,
     generate_paths,
 )
 from .quadform import (
+    brute_force_fourth_moment,
     brute_force_variance,
     fourth_moment_bound,
     gaussian_exact_variance,
@@ -77,10 +77,21 @@ def assertions_pass(records: list[ResultRecord]) -> bool:
     )
 
 
-def _z_score(estimate: float, exact: float, std_error: float) -> float:
-    if std_error > 0.0:
-        return (estimate - exact) / std_error
-    return 0.0 if estimate == exact else math.inf
+def _checked(row: dict, cfg, estimate, std_error, exact_key, exact, bound) -> list[dict]:
+    """[row] closed by a Monte Carlo estimate's checks: the exact value,
+    z-score and agreement where an exact value exists, then the bound."""
+    sigmas = cfg.tolerances["assert_sigmas"]
+    if exact is not None:
+        row[exact_key] = exact
+        if std_error > 0.0:
+            row["z_score"] = (estimate - exact) / std_error
+        else:
+            row["z_score"] = 0.0 if estimate == exact else math.inf
+        row["assert_within_sigmas"] = int(abs(estimate - exact) <= sigmas * std_error)
+    # the bound is constant-free: certify against factor * bound, plus MC noise
+    factor = cfg.tolerances["certificate_factor"]
+    row["assert_bound"] = int(estimate <= factor * bound.bound_value + sigmas * std_error)
+    return [row]
 
 
 def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
@@ -99,8 +110,6 @@ def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
     elif isinstance(model, (RademacherIID, RademacherProductMDS)) and p <= _BRUTE_FORCE_P:
         exact = brute_force_variance(model, A)
 
-    sigmas = cfg.tolerances["assert_sigmas"]
-    factor = cfg.tolerances["certificate_factor"]
     row = {
         "p": p,
         "replicates": cfg.replicates,
@@ -111,32 +120,7 @@ def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
         "trace_term": bound.trace_term,
         "coefficient_sum": bound.coefficient_sum,
     }
-    if exact is not None:
-        row["exact_variance"] = exact
-        row["z_score"] = _z_score(est.variance, exact, est.std_error)
-        row["assert_within_sigmas"] = int(
-            abs(est.variance - exact) <= sigmas * est.std_error
-        )
-    # the bound is constant-free: certify against factor * bound, plus MC noise
-    row["assert_bound"] = int(
-        est.variance <= factor * bound.bound_value + sigmas * est.std_error
-    )
-    return [row]
-
-
-def _rademacher_exact_fourth(model, a: np.ndarray) -> float:
-    coeffs = a.tolist()
-    total = 0.0
-    for i, ai in enumerate(coeffs, 1):
-        for j, aj in enumerate(coeffs, 1):
-            aij = ai * aj
-            for k, ak in enumerate(coeffs, 1):
-                aijk = aij * ak
-                for l, al in enumerate(coeffs, 1):
-                    coeff = aijk * al
-                    if coeff != 0.0:
-                        total += coeff * exact_product_moment(model, (i, j, k, l))
-    return total
+    return _checked(row, cfg, est.variance, est.std_error, "exact_variance", exact, bound)
 
 
 def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
@@ -148,13 +132,10 @@ def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
 
     exact = None
     if isinstance(model, (GaussianAR1, GaussianMA)):
-        Sigma = covariance_matrix(model, p)
-        exact = 3.0 * float(a @ Sigma @ a) ** 2
-    elif isinstance(model, (RademacherIID, RademacherProductMDS)) and p <= 12:
-        exact = _rademacher_exact_fourth(model, a)
+        exact = 3.0 * float(a @ covariance_matrix(model, p) @ a) ** 2
+    elif isinstance(model, (RademacherIID, RademacherProductMDS)) and p <= _BRUTE_FORCE_P:
+        exact = brute_force_fourth_moment(model, a)
 
-    sigmas = cfg.tolerances["assert_sigmas"]
-    factor = cfg.tolerances["certificate_factor"]
     row = {
         "p": p,
         "replicates": cfg.replicates,
@@ -163,12 +144,7 @@ def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
         "bound_value": bound.bound_value,
         "coefficient_sum": bound.coefficient_sum,
     }
-    if exact is not None:
-        row["exact_fourth_moment"] = exact
-        row["z_score"] = _z_score(mean, exact, std_error)
-        row["assert_within_sigmas"] = int(abs(mean - exact) <= sigmas * std_error)
-    row["assert_bound"] = int(mean <= factor * bound.bound_value + sigmas * std_error)
-    return [row]
+    return _checked(row, cfg, mean, std_error, "exact_fourth_moment", exact, bound)
 
 
 def _run_esd(cfg: ExperimentConfig) -> list[dict]:

@@ -338,7 +338,7 @@ def symmetric_eigenvalues(S) -> np.ndarray:
         raise ValueError(f"expected a non-empty square matrix, got shape {A.shape}")
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
-    _check_symmetric(A, 1e-10, "S")
+    _check_symmetric(A, "S")
     return _sturm_eigenvalues(*_tridiagonalise(A))[0]
 
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from quadvar.longrun import estimate_lrv
-from quadvar.models import generate_paths
+from quadvar.models import exact_product_moment, generate_paths
 from quadvar.spectral import SpectralModel, limit_stieltjes, mp_stieltjes
 
 
@@ -54,6 +54,21 @@ def parity_moment(sign_indices) -> float:
     for s in sign_indices:
         counts[s] = counts.get(s, 0) + 1
     return 1.0 if all(c % 2 == 0 for c in counts.values()) else 0.0
+
+
+def sign_fourth_moment_reference(model, a) -> float:
+    """E (a'x)^4 as the sum of a_i a_j a_k a_l E[X_i X_j X_k X_l] over all
+    p^4 index tuples, each moment from ``exact_product_moment``."""
+    coeffs = np.asarray(a, dtype=float).tolist()
+    total = 0.0
+    for i, ai in enumerate(coeffs, 1):
+        for j, aj in enumerate(coeffs, 1):
+            for k, ak in enumerate(coeffs, 1):
+                for l, al in enumerate(coeffs, 1):
+                    coeff = ai * aj * ak * al
+                    if coeff != 0.0:
+                        total += coeff * exact_product_moment(model, (i, j, k, l))
+    return total
 
 
 def _binary_exponent(a) -> int:

@@ -156,7 +156,7 @@ def test_exact_product_moment_rejects_positions_below_one():
             exact_product_moment(model, (1, 0, 2, 2))
 
 
-def test_product_mds_is_white_but_not_independent():
+def test_product_mds_is_white():
     # squares are constant, so squared-covariance vanishes; the law is in
     # fact the i.i.d. one (see the enumeration test below), so every tracked
     # covariance is zero as well.

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sign_fourth_moment_reference
 from quadvar.models import (
     GaussianAR1,
     GaussianMA,
@@ -15,6 +16,7 @@ from quadvar.models import (
     generate_paths,
 )
 from quadvar.quadform import (
+    brute_force_fourth_moment,
     brute_force_variance,
     fourth_moment_bound,
     gaussian_exact_variance,
@@ -95,6 +97,41 @@ def test_brute_force_agrees_across_sign_models_on_hollow():
 def test_brute_force_rejects_large_p():
     with pytest.raises(ValueError):
         brute_force_variance(RademacherIID(), np.eye(21))
+
+
+SIGN_MODELS = [RademacherIID(), RademacherProductMDS()]
+
+
+@pytest.mark.parametrize("model", SIGN_MODELS)
+def test_brute_force_fourth_moment_matches_the_moment_sum(model):
+    # integer vectors keep every sum exact on both routes
+    for p in range(1, 13):
+        a = np.ones(p)
+        assert brute_force_fourth_moment(model, a) == sign_fourth_moment_reference(model, a)
+    rng = np.random.default_rng(3)
+    for p in (1, 5, 9, 12):
+        a = rng.standard_normal(p)
+        want = sign_fourth_moment_reference(model, a)
+        assert brute_force_fourth_moment(model, a) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("model", SIGN_MODELS)
+def test_brute_force_fourth_moment_is_the_rademacher_closed_form(model):
+    # both sign models have the i.i.d. Rademacher law:
+    # E (a'x)^4 = 3 (sum a^2)^2 - 2 sum a^4
+    rng = np.random.default_rng(4)
+    for p in range(1, 17):
+        ones = np.ones(p)
+        assert brute_force_fourth_moment(model, ones) == 3.0 * p * p - 2.0 * p
+        a = rng.standard_normal(p)
+        want = 3.0 * float(np.sum(a**2)) ** 2 - 2.0 * float(np.sum(a**4))
+        assert brute_force_fourth_moment(model, a) == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("model", SIGN_MODELS)
+def test_brute_force_fourth_moment_rejects_large_p(model):
+    with pytest.raises(ValueError, match="enumeration capped at p = 20, got 21"):
+        brute_force_fourth_moment(model, np.ones(21))
 
 
 # --------------------------------------------------------------- Monte Carlo

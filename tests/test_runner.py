@@ -2,7 +2,6 @@
 
 import csv
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -21,7 +20,6 @@ from quadvar import runner
 from quadvar.cli import main as cli_main
 from quadvar.config import ConfigError, canonical_hash, load_config, validate
 from quadvar.longrun import lrv_true
-from quadvar.models import RademacherIID, RademacherProductMDS
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
 from quadvar.spectral import ConvergenceError, SpectralModel
 
@@ -554,28 +552,24 @@ def test_lrv_mse_matches_the_per_point_reference_bit_for_bit():
         assert record.metrics["mc_mse"].hex() == want.hex(), (n, m)
 
 
-@pytest.mark.parametrize("model", [RademacherIID(), RademacherProductMDS()])
-def test_rademacher_exact_fourth_keeps_every_moment_call(model, monkeypatch):
-    calls = []
-    moment = runner.exact_product_moment
-
-    def recording(model, indices):
-        calls.append(indices)
-        return moment(model, indices)
-
-    monkeypatch.setattr(runner, "exact_product_moment", recording)
-    for a in (np.ones(6), np.random.default_rng(3).standard_normal(5)):
-        calls.clear()
-        p = a.size
-        want = 0.0
-        for i in range(p):
-            for j in range(p):
-                for k in range(p):
-                    for l in range(p):
-                        coeff = a[i] * a[j] * a[k] * a[l]
-                        want += coeff * moment(model, (i + 1, j + 1, k + 1, l + 1))
-        assert runner._rademacher_exact_fourth(model, a) == want
-        assert calls == list(itertools.product(range(1, p + 1), repeat=4))
+def test_sign_fourth_moment_is_exact_up_to_the_enumeration_cap():
+    # the fourth-moment oracle shares quadform_var's cap of p = 16
+    config = {
+        **_FOURTH,
+        "model": {"name": "rademacher_product_mds"},
+        "vector": {"kind": "ones", "p": 14},
+        "replicates": 2000,
+    }
+    records = run(validate(json.dumps(config)))
+    metrics = records[0].metrics
+    assert metrics["exact_fourth_moment"] == 3.0 * 14**2 - 2.0 * 14
+    assert list(metrics)[-4:] == [
+        "exact_fourth_moment",
+        "z_score",
+        "assert_within_sigmas",
+        "assert_bound",
+    ]
+    assert assertions_pass(records)
 
 
 # -------------------------------------------------------------------- emission
@@ -734,6 +728,10 @@ _ESD_THREE_ATOMS = {
         # ignored since the limit law has no reference dimension, but still
         # parsed: a malformed value is a config error
         ("esd", {**_ESD, "p_ref": 1}, "p_ref"),
+        # past the doubles cap by the p x p covariance, or by the p x n sample
+        ("esd", {**_ESD, "sizes": [[10**400, 2]]}, "sizes[0]"),
+        ("esd", {**_ESD, "sizes": [[100000, 2]]}, "sizes[0]"),
+        ("esd", {**_ESD, "sizes": [[20, 40], [20, 2**20]]}, "sizes[1]"),
     ],
 )
 def test_cli_run_preconditions_are_exit_two(tmp_path, capsys, experiment, config, key):

@@ -136,8 +136,17 @@ def test_symmetric_eigenvalues_requires_symmetry():
         np.array([[1.0, np.nan], [np.nan, 1.0]]),
         np.array([[np.inf, 0.0], [0.0, 1.0]]),
         1e170 * np.array([[1.0, 2.0], [0.0, 1.0]]),  # its Frobenius norm overflows
+        np.array([[1.0, 1.0 + 1e-11], [1.0, 1.0]]),  # past the tolerance of 1e-12 max|S|
     ],
-    ids=["non_square", "one_dimensional", "empty", "nan", "inf", "asymmetric_1e170"],
+    ids=[
+        "non_square",
+        "one_dimensional",
+        "empty",
+        "nan",
+        "inf",
+        "asymmetric_1e170",
+        "asymmetric_1e-11",
+    ],
 )
 def test_symmetric_eigenvalues_rejects_bad_input(S):
     with pytest.raises(ValueError):
