@@ -55,10 +55,8 @@ from .spectral import (
     ConvergenceError,
     SpectralModel,
     StieltjesValue,
-    density_from_stieltjes,
     density_grid,
     effective_spectral_model,
-    empirical_stieltjes,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,

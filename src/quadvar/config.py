@@ -44,7 +44,8 @@ __all__ = [
 
 _MAX_SEED = (1 << 64) - 1
 # Doubles one array built from a config size may hold: p * p (a matrix or an
-# esd covariance), p * n (an esd sample), p (a vector), atoms * points (a grid).
+# esd covariance), p * n (an esd sample), p (a vector), atoms * points (a grid),
+# replicates * p or replicates * max n (a Monte Carlo path block).
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -490,6 +491,14 @@ def validate(
     if experiment == "stieltjes_grid":
         block = len(kwargs["spectral"].atoms) * kwargs["grid"]["points"]
         _check_doubles(block, "grid.points", "atoms x points")
+    # the field default of ExperimentConfig is the only copy
+    replicates = kwargs.get("replicates", ExperimentConfig.replicates)
+    if experiment == "lrv_mse":
+        longest = max(n for n, _ in kwargs["sweep"])
+        _check_doubles(replicates * longest, "replicates", "replicates x max n")
+    elif "replicates" in spec.optional:
+        p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
+        _check_doubles(replicates * p, "replicates", "replicates x p")
 
     out = raw.get("out")
     if out is not None:
@@ -518,8 +527,7 @@ def validate(
             "values": list(kernel.values),
         }
     if "replicates" in spec.optional:
-        # the field default of ExperimentConfig is the only copy
-        canonical["replicates"] = kwargs.get("replicates", ExperimentConfig.replicates)
+        canonical["replicates"] = replicates
 
     return ExperimentConfig(
         experiment=experiment,

@@ -79,9 +79,9 @@ _ENVELOPE_EXTENT = 200.0
 class Kernel:
     """One HAC kernel, carrying its derived constants as cached attributes.
 
-    ``Kernel(name)`` or a classmethod constructor builds a named kernel;
-    ``variant`` is its name.  Tabulated kernels interpolate linearly on
-    their grid and are zero beyond it.
+    ``Kernel(name)`` builds a named kernel; ``variant`` is its name.
+    Tabulated kernels (``Kernel.tabulated``, ``Kernel.from_csv``) interpolate
+    linearly on their grid and are zero beyond it.
     """
 
     variant: str
@@ -108,22 +108,6 @@ class Kernel:
             object.__setattr__(self, "values", tuple(float(x) for x in v))
         elif self.grid is not None or self.values is not None:
             raise ValueError("only tabulated kernels take grid/values")
-
-    @classmethod
-    def bartlett(cls) -> "Kernel":
-        return cls("bartlett")
-
-    @classmethod
-    def parzen(cls) -> "Kernel":
-        return cls("parzen")
-
-    @classmethod
-    def quadratic_spectral(cls) -> "Kernel":
-        return cls("quadratic_spectral")
-
-    @classmethod
-    def truncated(cls) -> "Kernel":
-        return cls("truncated")
 
     @classmethod
     def tabulated(cls, grid, values) -> "Kernel":
@@ -405,12 +389,16 @@ def lrv_true(model: CovarianceModel) -> float:
     raise TypeError(f"unknown model {model!r}")
 
 
-def gamma_q(model: CovarianceModel, q: float, tail_tol: float = 1e-12) -> float:
+# Certified bound on the truncation error of Gamma_q's autoregressive series.
+_GAMMA_TAIL_TOL = 1e-12
+
+
+def gamma_q(model: CovarianceModel, q: float) -> float:
     """Gamma_q = sum_{j >= 1} j^q C(j) with a certified truncation error.
 
     The autoregression is summed until the geometric ratio bound certifies
-    the remainder below ``tail_tol``; the moving average is a finite sum and
-    white noise contributes nothing.
+    the remainder below ``_GAMMA_TAIL_TOL``; the moving average is a finite
+    sum and white noise contributes nothing.
     """
     if not (math.isfinite(q) and q >= 0.0):
         raise ValueError(f"q must be a finite real >= 0, got {q}")
@@ -433,12 +421,12 @@ def gamma_q(model: CovarianceModel, q: float, tail_tol: float = 1e-12) -> float:
             ratio = r * ((j + 1) / j) ** q
             if ratio < 1.0:
                 remainder = (j + 1) ** q * r ** (j + 1) / (1.0 - ratio)
-                if remainder <= tail_tol:
+                if remainder <= _GAMMA_TAIL_TOL:
                     return total
             j += 1
             if j > 10**7:
                 raise ValueError(
-                    f"Gamma_q tail not certified below {tail_tol} within 1e7 terms"
+                    f"Gamma_q tail not certified below {_GAMMA_TAIL_TOL} within 1e7 terms"
                 )
     raise TypeError(f"unknown model {model!r}")
 
@@ -540,7 +528,6 @@ def mse_bound(
     kernel: Kernel,
     m: float,
     n: int,
-    tail_tol: float = 1e-12,
 ) -> MSEReport:
     """Report both leading MSE terms: the C-free variance part and the exact
     squared-bias coefficient 4 (k_q Gamma_q)^2 / m^{2q}.
@@ -554,7 +541,7 @@ def mse_bound(
     if report.degenerate_limit or report.k_q == 0.0:
         squared_leading = 0.0
     else:
-        gq = gamma_q(model, report.q, tail_tol)
+        gq = gamma_q(model, report.q)
         squared_leading = 4.0 * (report.k_q * gq) ** 2 / m ** (2.0 * report.q)
     return MSEReport(
         bias=exact_bias(model, kernel, m, n),

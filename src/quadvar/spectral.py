@@ -13,8 +13,9 @@ route: the companion iteration
 v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on v = -(1-c)/z + c m,
 which keeps v in the upper half-plane, with a Newton step tried first and
 kept only where it stays there and lowers |m - F(m)|.  ``solve_stieltjes``
-is its one checked entry point, which ``limit_stieltjes`` and
-``density_grid`` call; ``limit_cdf`` checks its own warm-started solves.
+is its one checked entry point, and every route calls it: the
+``stieltjes_grid`` experiment, ``limit_stieltjes``, ``density_grid`` and
+``limit_cdf``, whose fine grid it warm-starts from the coarse one.
 Eigenvalues come from one in-house route, Householder tridiagonalisation
 followed by Sturm-count bisection, built from ufunc reductions so that no
 BLAS thread count can change their bits; LAPACK is its oracle in the tests,
@@ -55,11 +56,9 @@ __all__ = [
     "scaled_paths",
     "sample_covariance_matrix",
     "symmetric_eigenvalues",
-    "empirical_stieltjes",
     "solve_stieltjes",
     "limit_stieltjes",
     "mp_stieltjes",
-    "density_from_stieltjes",
     "density_grid",
     "limit_cdf",
     "kolmogorov_distance",
@@ -354,15 +353,6 @@ def _require_upper_half(z: complex) -> complex:
     return z
 
 
-def empirical_stieltjes(esd, z: complex) -> complex:
-    """mean(1/(lambda_i - z)) of an eigenvalue sample, Im z > 0."""
-    z = _require_upper_half(z)
-    lam = np.asarray(esd, dtype=float)
-    if lam.ndim != 1 or lam.size == 0:
-        raise ValueError("esd must be a non-empty 1-D array")
-    return complex(np.mean(1.0 / (lam - z)))
-
-
 @dataclass(frozen=True)
 class StieltjesValue:
     """One solved point of the limit equation, with its convergence evidence."""
@@ -448,8 +438,8 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     rho != 0 each atom's term is its average over theta in closed form
     (``_szego_sums``); only those sums depend on rho.
 
-    Nothing here checks convergence: ``solve_stieltjes`` is the one checked
-    entry point, and ``limit_cdf`` checks its own warm-started pair.
+    Nothing here checks convergence: ``solve_stieltjes``, the one checked
+    entry point, is its only caller.
 
     Their bits depend on the shape of the block they run in: one point's
     column alone is a 1-D pairwise sum, while inside an atoms x points block
@@ -502,11 +492,13 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
 
 
 def solve_stieltjes(
-    law: SpectralModel, zs, tol: float = 1e-12, max_iter: int = 10000
+    law: SpectralModel, zs, tol: float = 1e-12, max_iter: int = 10000, m0=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve the limit-law fixed point at every z of ``zs`` in one block.
 
-    Every z must lie in the upper half-plane.  Returns the arrays (m,
+    Every z must lie in the upper half-plane.  ``m0``, one value per z,
+    warm-starts the points where it lies on the branch (see
+    ``_solve_points``); the others start cold.  Returns the arrays (m,
     residual, iterations), one entry per z: ``iterations`` counts the
     solver's steps, Newton or companion.  Convergence requires the defining
     residual <= tol and Im m > 0 (the Stieltjes branch) at every z; the
@@ -523,7 +515,7 @@ def solve_stieltjes(
     if below.size:
         _require_upper_half(zs[below[0]])  # raises, naming the first such z
     m, residual, iterations = _solve_points(
-        law.lambdas, law.weights, law.c, zs, tol, max_iter, rho=law.rho
+        law.lambdas, law.weights, law.c, zs, tol, max_iter, m0=m0, rho=law.rho
     )
     failed = np.flatnonzero((residual > tol) | ~(m.imag > 0.0))
     if failed.size:
@@ -577,32 +569,13 @@ def mp_stieltjes(c: float, z: complex) -> complex:
     raise ConvergenceError(f"no upper-half root at z = {z} (roots {roots})")
 
 
-def density_from_stieltjes(
-    law: SpectralModel,
-    x: float,
-    epsilon: float = 1e-3,
-    tol: float = 1e-10,
-    max_iter: int = 200000,
-) -> float:
-    """Smoothed spectral density Im m(x + i*epsilon) / pi, solved by
-    ``limit_stieltjes``.
-
-    The companion map alone contracts at rate 1 - O(epsilon) inside the bulk;
-    the Newton steps take over there, and the budget is a ceiling.
-    """
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    value = limit_stieltjes(law, complex(x, epsilon), tol=tol, max_iter=max_iter)
-    return value.m.imag / math.pi
+# Iteration budget of every solve at a smoothing height epsilon (density_grid,
+# limit_cdf).  The companion map alone contracts at rate 1 - O(epsilon) inside
+# the bulk; the Newton steps take over there, and the budget is a ceiling.
+_SMOOTHED_MAX_ITER = 200000
 
 
-def density_grid(
-    law: SpectralModel,
-    xs,
-    epsilon: float = 1e-3,
-    tol: float = 1e-9,
-    max_iter: int = 200000,
-) -> np.ndarray:
+def density_grid(law: SpectralModel, xs, epsilon: float = 1e-3, tol: float = 1e-9) -> np.ndarray:
     """Smoothed density Im m(x + i*epsilon) / pi at every abscissa of ``xs``,
     solved in one block by ``solve_stieltjes``."""
     if not (epsilon > 0.0):
@@ -610,50 +583,46 @@ def density_grid(
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size == 0:
         raise ValueError("xs must be a non-empty 1-D array")
-    m, _, _ = solve_stieltjes(law, xs + 1j * epsilon, tol=tol, max_iter=max_iter)
+    m, _, _ = solve_stieltjes(law, xs + 1j * epsilon, tol=tol, max_iter=_SMOOTHED_MAX_ITER)
     return m.imag / math.pi
 
 
-def limit_cdf(
-    law: SpectralModel,
-    epsilon: float = 2e-3,
-    points: int = 320,
-    margin: float = 0.1,
-):
+# The limit CDF's grid: smoothing height, abscissae, the margin past the
+# support edges, and the tolerance of its two grid solves.
+_CDF_EPSILON = 2e-3
+_CDF_POINTS = 320
+_CDF_MARGIN = 0.1
+_CDF_TOL = 1e-8
+
+
+def limit_cdf(law: SpectralModel):
     """Numeric CDF of the limit law, as a callable usable for distances.
 
-    Solves the grid at heights 2*epsilon and epsilon with the same
-    companion-plus-Newton solver as ``limit_stieltjes`` (the coarse solution
-    warm-starts the fine one) and extrapolates the smoothing away: the
-    half-plane kernel is even in the height, so Im m carries an O(epsilon^2)
-    error that (4 m_eps - m_2eps)/3 cancels.  The density is then integrated
-    over a grid spanning the support (edges bounded by
+    Solves a grid of ``_CDF_POINTS`` abscissae at heights 2*epsilon and
+    epsilon (``_CDF_EPSILON``) by ``solve_stieltjes``, the coarse solution
+    warm-starting the fine one, so a point that stalls or leaves the branch
+    raises ConvergenceError, and extrapolates the smoothing away: the
+    half-plane kernel is even in the height, so Im m carries an
+    O(epsilon^2) error that (4 m_eps - m_2eps)/3 cancels.  The density is
+    then integrated over a grid spanning the support (edges bounded by
     lambda*(1 -+ sqrt(c))^2, lambda running over the population support
     lambda_k [(1 - |rho|)/(1 + |rho|), (1 + |rho|)/(1 - |rho|)], widened by
-    ``margin``), the (1 - 1/c) point mass
-    at zero is added when c > 1, and the total is rescaled to exactly one so
-    the O(epsilon) mass smoothed past the edges does not bias comparisons.
+    ``_CDF_MARGIN``), the (1 - 1/c) point mass at zero is added when c > 1,
+    and the total is rescaled to exactly one so the O(epsilon) mass smoothed
+    past the edges does not bias comparisons.
     """
     lam = law.lambdas
-    w = law.weights
     if float(lam.min()) <= 0.0:
         raise ValueError("limit_cdf needs strictly positive atoms")
     sqrt_c = math.sqrt(law.c)
     spread = (1.0 + abs(law.rho)) / (1.0 - abs(law.rho))
-    lower = max(0.0, float(lam.min()) / spread * (1.0 - sqrt_c) ** 2 - margin)
-    upper = float(lam.max()) * spread * (1.0 + sqrt_c) ** 2 + margin
-    xs = np.linspace(max(lower, 1e-9), upper, points)
-    tol = 1e-8
-    budget = 200000
-    m_coarse, res_c, _ = _solve_points(
-        lam, w, law.c, xs + 2j * epsilon, tol, budget, rho=law.rho
+    lower = max(0.0, float(lam.min()) / spread * (1.0 - sqrt_c) ** 2 - _CDF_MARGIN)
+    upper = float(lam.max()) * spread * (1.0 + sqrt_c) ** 2 + _CDF_MARGIN
+    xs = np.linspace(max(lower, 1e-9), upper, _CDF_POINTS)
+    m_coarse, _, _ = solve_stieltjes(law, xs + 2j * _CDF_EPSILON, _CDF_TOL, _SMOOTHED_MAX_ITER)
+    m_fine, _, _ = solve_stieltjes(
+        law, xs + 1j * _CDF_EPSILON, _CDF_TOL, _SMOOTHED_MAX_ITER, m0=m_coarse
     )
-    m_fine, res_f, _ = _solve_points(
-        lam, w, law.c, xs + 1j * epsilon, tol, budget, m0=m_coarse, rho=law.rho
-    )
-    worst = float(max(res_c.max(), res_f.max()))
-    if worst > tol:
-        raise ConvergenceError(f"limit_cdf grid solve stalled (residual {worst:.3e})")
     dens = np.clip((4.0 * m_fine.imag - m_coarse.imag) / (3.0 * math.pi), 0.0, None)
     steps = np.diff(xs) * (dens[1:] + dens[:-1]) / 2.0
     cum = np.concatenate([[0.0], np.cumsum(steps)])

@@ -53,7 +53,6 @@ from quadvar.quadform import (
 )
 from quadvar.spectral import (
     SpectralModel,
-    density_from_stieltjes,
     density_grid,
     effective_spectral_model,
     kolmogorov_distance,
@@ -285,7 +284,7 @@ def test_06_esd_approaches_limit_law():
 
 
 def test_07_density_spot_value_and_mass():
-    spot = density_from_stieltjes(SpectralModel(atoms=((1.0, 1.0),), c=1.0), 1.0)
+    [spot] = density_grid(SpectralModel(atoms=((1.0, 1.0),), c=1.0), [1.0], tol=1e-10)
     target = math.sqrt(3.0) / (2.0 * math.pi)
     assert abs(spot - target) <= 0.005, spot
 
@@ -315,7 +314,7 @@ def _direct_expectation_bias(model, kernel, m, n) -> float:
 
 def test_08_bias_identity_and_remainder_rate():
     model = GaussianAR1(rho=0.5)
-    kernel = Kernel.bartlett()
+    kernel = Kernel("bartlett")
 
     got = exact_bias(model, kernel, 10.0, 200)
     direct = _direct_expectation_bias(model, kernel, 10.0, 200)
@@ -351,7 +350,7 @@ def test_08_bias_identity_and_remainder_rate():
 def mse_sweep():
     """Monte Carlo MSE sweep shared by the consistency and shape checks."""
     model = GaussianAR1(rho=0.5)
-    kernel = Kernel.bartlett()
+    kernel = Kernel("bartlett")
     profile = dependence_profile(model, 64)
     sigma2 = lrv_true(model)
     replicates = 500
@@ -420,11 +419,11 @@ def test_10_mse_stays_within_band_of_the_bound(mse_sweep):
 
 
 def test_11_kernel_suite_certificates():
-    assert kernel_kq(Kernel.bartlett()) == (1.0, -1.0)
-    assert check_assumptions(Kernel.bartlett()).envelope_sq_integral == 1.0 / 3.0
-    assert kernel_kq(Kernel.parzen()) == (2.0, -6.0)
-    assert check_assumptions(Kernel.truncated()).degenerate_limit
-    qs = check_assumptions(Kernel.quadratic_spectral())
+    assert kernel_kq(Kernel("bartlett")) == (1.0, -1.0)
+    assert check_assumptions(Kernel("bartlett")).envelope_sq_integral == 1.0 / 3.0
+    assert kernel_kq(Kernel("parzen")) == (2.0, -6.0)
+    assert check_assumptions(Kernel("truncated")).degenerate_limit
+    qs = check_assumptions(Kernel("quadratic_spectral"))
     assert qs.bounded and qs.square_integrable and qs.curvature_limit
     assert math.isfinite(qs.envelope_sq_integral)
     worst = 0.0

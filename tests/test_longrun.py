@@ -33,10 +33,10 @@ from quadvar.models import (
 )
 
 NAMED_KERNELS = [
-    Kernel.bartlett(),
-    Kernel.parzen(),
-    Kernel.quadratic_spectral(),
-    Kernel.truncated(),
+    Kernel("bartlett"),
+    Kernel("parzen"),
+    Kernel("quadratic_spectral"),
+    Kernel("truncated"),
 ]
 
 
@@ -44,14 +44,14 @@ NAMED_KERNELS = [
 
 
 def test_kernel_eval_closed_values():
-    assert kernel_eval(Kernel.bartlett(), 0.5) == pytest.approx(0.5, abs=1e-15)
-    assert kernel_eval(Kernel.bartlett(), 1.5) == 0.0
-    assert kernel_eval(Kernel.parzen(), 0.25) == pytest.approx(0.71875, abs=1e-15)
-    assert kernel_eval(Kernel.parzen(), 0.75) == pytest.approx(0.03125, abs=1e-15)
-    assert kernel_eval(Kernel.truncated(), 0.999) == 1.0
-    assert kernel_eval(Kernel.truncated(), 1.001) == 0.0
+    assert kernel_eval(Kernel("bartlett"), 0.5) == pytest.approx(0.5, abs=1e-15)
+    assert kernel_eval(Kernel("bartlett"), 1.5) == 0.0
+    assert kernel_eval(Kernel("parzen"), 0.25) == pytest.approx(0.71875, abs=1e-15)
+    assert kernel_eval(Kernel("parzen"), 0.75) == pytest.approx(0.03125, abs=1e-15)
+    assert kernel_eval(Kernel("truncated"), 0.999) == 1.0
+    assert kernel_eval(Kernel("truncated"), 1.001) == 0.0
     # QS at 6*pi*x/5 = pi: sinc term 0, cosine term -(-1): K = 3/pi^2
-    assert kernel_eval(Kernel.quadratic_spectral(), 5.0 / 6.0) == pytest.approx(
+    assert kernel_eval(Kernel("quadratic_spectral"), 5.0 / 6.0) == pytest.approx(
         3.0 / math.pi**2, abs=1e-14
     )
 
@@ -67,7 +67,7 @@ def test_quadratic_spectral_series_agrees_with_direct_form_at_seam():
     # the small-argument series takes over below a = 1.2 pi x = 0.05; just
     # inside that region it must coincide with the cancellation-prone closed
     # form to far better than the switch threshold
-    kernel = Kernel.quadratic_spectral()
+    kernel = Kernel("quadratic_spectral")
     x = 0.049 / (1.2 * math.pi)
     a = 1.2 * math.pi * x
     direct = 25.0 / (12.0 * math.pi**2 * x**2) * (math.sin(a) / a - math.cos(a))
@@ -76,7 +76,7 @@ def test_quadratic_spectral_series_agrees_with_direct_form_at_seam():
 
 def test_kernel_eval_vectorizes():
     xs = np.array([0.0, 0.25, 0.5, 2.0])
-    got = kernel_eval(Kernel.bartlett(), xs)
+    got = kernel_eval(Kernel("bartlett"), xs)
     assert np.array_equal(got, np.array([1.0, 0.75, 0.5, 0.0]))
 
 
@@ -115,23 +115,23 @@ def test_envelope_is_nonincreasing_and_dominates(x1, x2):
 
 
 def test_quadratic_spectral_far_tail_envelope_is_finite():
-    kernel = Kernel.quadratic_spectral()
+    kernel = Kernel("quadratic_spectral")
     far = kernel_envelope(kernel, 300.0)
     assert 0.0 < far < 1e-4
     assert far >= abs(kernel_eval(kernel, 300.0))
 
 
 def test_envelope_square_integrals():
-    assert check_assumptions(Kernel.bartlett()).envelope_sq_integral == pytest.approx(
+    assert check_assumptions(Kernel("bartlett")).envelope_sq_integral == pytest.approx(
         1.0 / 3.0, abs=1e-15
     )
-    assert check_assumptions(Kernel.parzen()).envelope_sq_integral == pytest.approx(
+    assert check_assumptions(Kernel("parzen")).envelope_sq_integral == pytest.approx(
         151.0 / 560.0, abs=1e-15
     )
-    assert check_assumptions(Kernel.truncated()).envelope_sq_integral == pytest.approx(
+    assert check_assumptions(Kernel("truncated")).envelope_sq_integral == pytest.approx(
         1.0, abs=1e-15
     )
-    qs = check_assumptions(Kernel.quadratic_spectral()).envelope_sq_integral
+    qs = check_assumptions(Kernel("quadratic_spectral")).envelope_sq_integral
     assert qs == pytest.approx(0.50243970, abs=1e-5)
     assert math.isfinite(qs)
 
@@ -140,12 +140,12 @@ def test_envelope_square_integrals():
 
 
 def test_kernel_kq_closed_forms():
-    assert kernel_kq(Kernel.bartlett()) == (1.0, -1.0)
-    assert kernel_kq(Kernel.parzen()) == (2.0, -6.0)
-    q, kq = kernel_kq(Kernel.quadratic_spectral())
+    assert kernel_kq(Kernel("bartlett")) == (1.0, -1.0)
+    assert kernel_kq(Kernel("parzen")) == (2.0, -6.0)
+    q, kq = kernel_kq(Kernel("quadratic_spectral"))
     assert q == 2.0
     assert kq == pytest.approx(-18.0 * math.pi**2 / 125.0, abs=1e-15)
-    assert kernel_kq(Kernel.truncated()) == (math.inf, 0.0)
+    assert kernel_kq(Kernel("truncated")) == (math.inf, 0.0)
 
 
 def test_kernel_kq_certifies_tabulated_triangle():
@@ -172,8 +172,8 @@ def test_check_assumptions_pass_fail_matrix():
         report = check_assumptions(kernel)
         assert report.bounded and report.square_integrable and report.curvature_limit
         assert report.all_pass
-    assert check_assumptions(Kernel.truncated()).degenerate_limit
-    assert not check_assumptions(Kernel.bartlett()).degenerate_limit
+    assert check_assumptions(Kernel("truncated")).degenerate_limit
+    assert not check_assumptions(Kernel("bartlett")).degenerate_limit
     broken = check_assumptions(Kernel.tabulated([0.0, 2.0**-43], [1.0, 0.5]))
     assert not broken.curvature_limit
     assert not broken.all_pass
@@ -201,7 +201,7 @@ def test_estimate_lrv_matches_naive_sum_for_every_kernel():
 
 
 def test_estimate_lrv_rejects_bad_paths_and_bandwidths():
-    kernel = Kernel.bartlett()
+    kernel = Kernel("bartlett")
     with pytest.raises(ValueError, match="1-D"):
         estimate_lrv(np.ones((2, 5)), kernel, 2.0)
     with pytest.raises(ValueError, match="non-empty"):
@@ -213,7 +213,7 @@ def test_estimate_lrv_rejects_bad_paths_and_bandwidths():
 
 def test_estimate_lrv_mean_tracks_exact_bias():
     model = GaussianAR1(rho=0.5)
-    kernel = Kernel.bartlett()
+    kernel = Kernel("bartlett")
     n, m, reps = 1000, 10.0, 2000
     paths = generate_paths(model, n, seed=22, count=reps)
     values = np.array([estimate_lrv(row, kernel, m) for row in paths])
@@ -269,13 +269,13 @@ def test_exact_bias_matches_direct_expectation():
 
 
 def test_exact_bias_leading_frozen_value():
-    got = exact_bias(GaussianAR1(rho=0.5), Kernel.bartlett(), 10.0, 1000)
+    got = exact_bias(GaussianAR1(rho=0.5), Kernel("bartlett"), 10.0, 1000)
     assert got.leading == pytest.approx(-0.399609375, abs=1e-12)
 
 
 def test_variance_bound_closed_form():
     profile = dependence_profile(GaussianAR1(rho=0.5), 64)
-    got = variance_bound_c_free(profile, Kernel.bartlett(), 10.0, 100)
+    got = variance_bound_c_free(profile, Kernel("bartlett"), 10.0, 100)
     # (3 + 6 + 2/3) * (1/n + 2 (m/n) * 1/3) = 29/3 * 23/300
     assert got == pytest.approx(667.0 / 900.0, rel=1e-12)
 
@@ -283,18 +283,18 @@ def test_variance_bound_closed_form():
 def test_mse_bound_report_fields():
     model = GaussianAR1(rho=0.5)
     profile = dependence_profile(model, 64)
-    report = mse_bound(profile, model, Kernel.bartlett(), 10.0, 100)
+    report = mse_bound(profile, model, Kernel("bartlett"), 10.0, 100)
     assert report.sigma2_true == pytest.approx(3.0, rel=1e-14)
     # 4 (k_q Gamma_q)^2 / m^(2q) with q=1: 4 * (1*2)^2 / 100
     assert report.squared_bias_leading == pytest.approx(0.16, rel=1e-12)
     assert report.variance_bound_c_free > 0.0
-    assert report.bias == exact_bias(model, Kernel.bartlett(), 10.0, 100)
+    assert report.bias == exact_bias(model, Kernel("bartlett"), 10.0, 100)
 
 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():
     model = GaussianAR1(rho=0.5)
     profile = dependence_profile(model, 64)
-    report = mse_bound(profile, model, Kernel.truncated(), 10.0, 100)
+    report = mse_bound(profile, model, Kernel("truncated"), 10.0, 100)
     assert report.squared_bias_leading == 0.0
 
 

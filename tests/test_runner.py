@@ -286,6 +286,40 @@ def test_sizes_past_the_doubles_cap_are_exit_two(tmp_path, capsys, text, field):
     _refused(tmp_path, capsys, text, field)
 
 
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # the omitted default of 100 000 replicates at n = 32 000: a 24 GiB block
+        pytest.param({**_LRV, "sweep": [[100, 4.0], [32000, 8.0]]}, id="lrv_default"),
+        pytest.param(
+            {**_LRV, "replicates": 2**10, "sweep": [[100, 2.0], [2**14 + 1, 4.0]]},
+            id="lrv_max_n",
+        ),
+        pytest.param(
+            {**_FOURTH, "replicates": 2**20, "vector": {"kind": "ones", "p": 17}}, id="fourth"
+        ),
+        pytest.param(
+            {**_QUADFORM, "replicates": 2**18 + 1, "matrix": {"kind": "identity", "p": 64}},
+            id="quadform",
+        ),
+        pytest.param(
+            {**_QUADFORM, "matrix": {"kind": "identity", "p": 168}}, id="quadform_default"
+        ),
+    ],
+)
+def test_monte_carlo_path_block_past_the_doubles_cap_is_exit_two(tmp_path, capsys, raw):
+    """validate refuses replicates x p (replicates x max n for lrv_mse) past
+    the cap before anything is drawn; an omitted replicates counts as 100 000."""
+    _refused(tmp_path, capsys, json.dumps(raw), "replicates")
+
+
+def test_monte_carlo_path_block_at_the_doubles_cap_is_accepted():
+    raw = {**_FOURTH, "replicates": 2**20, "vector": {"kind": "ones", "p": 16}}
+    assert validate(json.dumps(raw)).replicates == 2**20
+    raw = {**_LRV, "replicates": 2**10, "sweep": [[2**14, 4.0], [100, 2.0]]}
+    assert validate(json.dumps(raw)).replicates == 2**10
+
+
 def test_nan_in_a_key_the_kind_never_reads_is_exit_two(tmp_path, capsys):
     # json reads NaN, and the hash raises TypeError on it: the key must be refused first
     text = _config(model={"name": "rademacher_iid"}).replace(

@@ -34,10 +34,8 @@ from quadvar.spectral import (
     _sturm_levels,
     _szego_sums,
     _tridiagonalise,
-    density_from_stieltjes,
     density_grid,
     effective_spectral_model,
-    empirical_stieltjes,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,
@@ -285,12 +283,6 @@ def test_eigen_alias_is_the_route():
 # ------------------------------------------------------------------ transforms
 
 
-def test_empirical_stieltjes_single_point():
-    # one eigenvalue at 1: m(i) = 1/(1 - i) = (1 + i)/2
-    got = empirical_stieltjes(np.array([1.0]), 1j)
-    assert got == pytest.approx((1.0 + 1.0j) / 2.0, abs=1e-15)
-
-
 def test_mp_stieltjes_square_case_frozen_value():
     got = mp_stieltjes(1.0, 1j)
     assert got.real == pytest.approx(0.3002425902201204, abs=1e-13)
@@ -468,6 +460,23 @@ def test_solver_matches_reference_on_warm_started_cdf_grid():
     )
 
 
+def test_solve_stieltjes_passes_the_warm_start_through_bit_for_bit():
+    """The checked entry point's m0 is the solver's: the limit_cdf pair on
+    the closed-form AR(1) law, where the warm start saves iterations."""
+    law = effective_spectral_model(GaussianAR1(rho=0.5), TWO_ATOM)
+    xs = np.linspace(1e-9, 3.0 * 3.0 * (1.0 + math.sqrt(0.5)) ** 2 + 0.1, 320)
+    coarse, _, _ = solve_stieltjes(law, xs + 4e-3j, 1e-8, 200000)
+    got = solve_stieltjes(law, xs + 2e-3j, 1e-8, 200000, m0=coarse)
+    want = _solve_points(
+        law.lambdas, law.weights, law.c, xs + 2e-3j, 1e-8, 200000, coarse, rho=law.rho
+    )
+    assert _same_bits(got[0], want[0])  # m
+    assert _same_bits(got[1], want[1])  # residual
+    assert np.array_equal(got[2], want[2])  # iterations
+    cold = solve_stieltjes(law, xs + 2e-3j, 1e-8, 200000)
+    assert got[2].sum() < cold[2].sum()
+
+
 def test_solver_matches_reference_above_c_one():
     law = SpectralModel(atoms=((1.0, 0.5), (2.0, 0.5)), c=3.0)
     zs = np.linspace(-1.0, 6.0, 40) + 0.05j
@@ -506,21 +515,21 @@ def test_limit_stieltjes_recovers_from_spurious_damped_root():
 
 
 def test_density_square_case_spot_value():
-    got = density_from_stieltjes(SpectralModel(atoms=((1.0, 1.0),), c=1.0), 1.0)
+    [got] = density_grid(SpectralModel(atoms=((1.0, 1.0),), c=1.0), [1.0], tol=1e-10)
     assert got == pytest.approx(np.sqrt(3.0) / (2.0 * np.pi), abs=5e-3)
 
 
 def test_density_vanishes_off_support():
     law = UNIT
     # support of the quarter-circle-type law at c=0.5 is [(1-sqrt(.5))^2, (1+sqrt(.5))^2]
-    assert density_from_stieltjes(law, 4.0) <= 2e-3
-    assert density_from_stieltjes(law, -1.0) <= 2e-3
+    assert density_grid(law, [4.0], tol=1e-10)[0] <= 2e-3
+    assert density_grid(law, [-1.0], tol=1e-10)[0] <= 2e-3
 
 
 def test_density_grid_matches_pointwise_solves():
     xs = np.array([0.5, 1.0, 1.5])
     grid = density_grid(UNIT, xs, epsilon=1e-2, tol=1e-9)
-    single = [density_from_stieltjes(UNIT, float(x), epsilon=1e-2, tol=1e-9) for x in xs]
+    single = [density_grid(UNIT, [x], epsilon=1e-2, tol=1e-9)[0] for x in xs]
     assert np.allclose(grid, single, atol=1e-9)
 
 
@@ -540,6 +549,26 @@ def test_density_grid_raises_on_a_converged_point_off_the_branch(monkeypatch):
 
 
 # ------------------------------------------------------------------- limit CDF
+
+
+def test_limit_cdf_raises_on_a_converged_point_off_the_branch(monkeypatch):
+    """limit_cdf checks its grid solves like every other route: a point with
+    residual 0 but Im m < 0 raises instead of being clipped to density 0."""
+    solve = spectral._solve_points
+    grids = []
+
+    def off_branch(lam, w, c, zs, *args, **kwargs):
+        grids.append(zs)
+        m, residual, iterations = solve(lam, w, c, zs, *args, **kwargs)
+        m[5] = m[5].conjugate()
+        residual[5] = 0.0
+        return m, residual, iterations
+
+    monkeypatch.setattr(spectral, "_solve_points", off_branch)
+    with pytest.raises(ConvergenceError) as caught:
+        limit_cdf(UNIT)
+    assert len(grids) == 1  # the coarse grid raises before the fine one is solved
+    assert f"branch failure at z = {complex(grids[0][5])}:" in str(caught.value)
 
 
 def test_limit_cdf_is_a_distribution_function():
