@@ -31,7 +31,7 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
     model = GaussianAR1(rho=args.rho)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     paths = generate_paths(model, args.n, args.seed, args.replicates)
 

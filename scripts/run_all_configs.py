@@ -4,7 +4,12 @@
 Exit status is 0 only if every config's in-record assertions pass, which
 makes this script usable as a cheap end-to-end check:
 
-    python scripts/run_all_configs.py [--configs DIR] [--out DIR] [--check DIR]
+    python scripts/run_all_configs.py [--configs DIR ...] [--out DIR] [--check DIR]
+
+``--configs`` takes one or more directories (the bundled ``configs/`` by
+default) and runs every ``*.json`` in each, in the order given.  Each
+config's CSV is named after its file, so two configs with one file name
+exit 2 before anything runs.
 
 With ``--check DIR`` each config's CSV is also compared by sha256 with the
 file of the same name in DIR (as an earlier ``--out DIR`` wrote it), and any
@@ -61,8 +66,9 @@ def main() -> int:
     parser.add_argument(
         "--configs",
         type=Path,
-        default=Path(__file__).resolve().parent.parent / "configs",
-        help="directory holding *.json configs",
+        nargs="+",
+        default=[Path(__file__).resolve().parent.parent / "configs"],
+        help="directories holding *.json configs",
     )
     parser.add_argument(
         "--out", type=Path, default=None, help="also write <name>.csv per config here"
@@ -75,10 +81,19 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    paths = sorted(args.configs.glob("*.json"))
-    if not paths:
-        print(f"no configs found under {args.configs}", file=sys.stderr)
-        return 2
+    paths = []
+    for directory in args.configs:
+        found = sorted(directory.glob("*.json"))
+        if not found:
+            print(f"no configs found under {directory}", file=sys.stderr)
+            return 2
+        paths += found
+    first = {}
+    for path in paths:
+        if first.setdefault(path.name, path) != path:
+            clash = f"{first[path.name]} and {path} would both write {path.stem}.csv"
+            print(clash, file=sys.stderr)
+            return 2
 
     failures = 0
     with tempfile.TemporaryDirectory() as scratch:

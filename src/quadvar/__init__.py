@@ -34,7 +34,6 @@ from .models import (
     exact_product_moment,
     generate_paths,
     isserlis_fourth_moment,
-    min_phi_double_sum,
     path_rng,
 )
 from .quadform import (

@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .longrun import Kernel
+from .longrun import Kernel, _leading_stop
 from .models import (
     CovarianceModel,
     GaussianAR1,
@@ -45,7 +45,8 @@ __all__ = [
 _MAX_SEED = (1 << 64) - 1
 # Doubles one array built from a config size may hold: p * p (a matrix or an
 # esd covariance), p * n (an esd sample), p (a vector), atoms * points (a grid),
-# replicates * p or replicates * max n (a Monte Carlo path block).
+# replicates * p or replicates * max n (a Monte Carlo path block), and the lags
+# the exact bias of one lrv_mse sweep point sums.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -496,6 +497,9 @@ def validate(
     if experiment == "lrv_mse":
         longest = max(n for n, _ in kwargs["sweep"])
         _check_doubles(replicates * longest, "replicates", "replicates x max n")
+        for i, (n, m) in enumerate(kwargs["sweep"]):
+            lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
+            _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
     elif "replicates" in spec.optional:
         p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
         _check_doubles(replicates * p, "replicates", "replicates x p")

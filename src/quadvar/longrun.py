@@ -515,7 +515,6 @@ class MSEReport:
     bias: BiasDecomposition
     variance_bound_c_free: float
     squared_bias_leading: float
-    sigma2_true: float
 
     def __post_init__(self):
         if self.variance_bound_c_free < 0.0 or self.squared_bias_leading < 0.0:
@@ -547,7 +546,6 @@ def mse_bound(
         bias=exact_bias(model, kernel, m, n),
         variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
         squared_bias_leading=squared_leading,
-        sigma2_true=lrv_true(model),
     )
 
 
@@ -564,15 +562,15 @@ def fourth_cumulant(model: CovarianceModel, j: int, k: int, l: int) -> float:
     return moment - c(j) * c(l - k) - c(k) * c(l - j) - c(l) * c(k - j)
 
 
-def cumulant_sum(model: CovarianceModel, max_lag: int) -> float:
+def cumulant_sum(model: CovarianceModel, lags: int) -> float:
     """Triple sum of |kappa(X_t, X_{t+j}, X_{t+k}, X_{t+l})| over
-    1 <= j, k, l <= max_lag (the summability condition competing with the
+    1 <= j, k, l <= lags (the summability condition competing with the
     covariance-envelope route)."""
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
+    if lags < 1:
+        raise ValueError(f"lags must be >= 1, got {lags}")
     total = 0.0
-    for j in range(1, max_lag + 1):
-        for k in range(1, max_lag + 1):
-            for l in range(1, max_lag + 1):
+    for j in range(1, lags + 1):
+        for k in range(1, lags + 1):
+            for l in range(1, lags + 1):
                 total += abs(fourth_cumulant(model, j, k, l))
     return total

@@ -13,16 +13,19 @@ and a second sequence ``phi_sq`` with cov(X_i^2, X_j^2) <= phi_sq[j - i].
 The aggregates that enter the variance bounds are the supremum of fourth
 moments, the lag-weighted sum of ``phi`` and the plain sum of ``phi_sq``.
 
-Profiles here are exact: Gaussian models get closed forms via Isserlis
-pairings, Rademacher models get exhaustive enumeration of their driving
-signs.  Sampling uses a counter-based generator keyed by (seed, stream), so
-any path is reproducible in isolation regardless of execution order.
+A profile stores each envelope at the lags its model sets one by one and a
+geometric tail past them, and derives the sums from both.  Profiles here
+are exact: Gaussian models get closed forms via Isserlis pairings (AR(1) a
+pure tail, MA(q) lags 1..q and a zero tail), Rademacher models get
+exhaustive enumeration of their driving signs over a window of lags.
+Sampling uses a counter-based generator keyed by (seed, stream), so any
+path is reproducible in isolation regardless of execution order.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -44,7 +47,6 @@ __all__ = [
     "isserlis_fourth_moment",
     "exact_product_moment",
     "dependence_profile",
-    "min_phi_double_sum",
 ]
 
 
@@ -508,59 +510,67 @@ def exact_product_moment(model: CovarianceModel, indices) -> float:
 
 @dataclass(frozen=True)
 class DependenceProfile:
-    """Certified dependence envelopes for one model.
+    """Certified dependence envelopes for one model, valid at every lag.
 
-    ``phi``/``phi_sq`` hold lags 1..max_lag.  Beyond max_lag the envelope is
-    bounded by tail_coeff * tail_ratio**lag, and the stored aggregate sums
-    already include those analytic tails, so truncation never silently drops
-    mass.  ``min_double_sum`` optionally carries the exact value of
-    sum_{q,r >= 1} min(phi_q, phi_r) when the construction knows it.
+    ``phi`` and ``phi_sq`` hold the envelopes at the lags 1..L the model
+    sets one by one (L = len(phi), maybe 0).  Past lag L each envelope is
+    the geometric tail coeff * ratio**lag of its pair ``(coeff, ratio)``,
+    ``phi_tail`` or ``phi_sq_tail``.  The sums the bounds read are derived
+    from the stored values plus the tails in closed form, so nothing is
+    stored twice.
     """
 
     phi: np.ndarray
     phi_sq: np.ndarray
     fourth_moment_sup: float
-    phi_lag_weighted_sum: float
-    phi_sq_sum: float
-    max_lag: int
-    tail_coeff: float = 0.0
-    tail_ratio: float = 0.0
-    min_double_sum: float | None = field(default=None)
+    phi_tail: tuple[float, float] = (0.0, 0.0)
+    phi_sq_tail: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         phi = np.asarray(self.phi, dtype=float).copy()
         phi_sq = np.asarray(self.phi_sq, dtype=float).copy()
-        if self.max_lag < 1:
-            raise ValueError("max_lag must be >= 1")
-        if phi.shape != (self.max_lag,) or phi_sq.shape != (self.max_lag,):
-            raise ValueError("phi and phi_sq must have shape (max_lag,)")
+        if phi.ndim != 1 or phi_sq.shape != phi.shape:
+            raise ValueError("phi and phi_sq must be 1-D arrays of one length")
         if not (np.all(np.isfinite(phi)) and np.all(np.isfinite(phi_sq))):
             raise ValueError("profile entries must be finite")
         if np.any(phi < 0) or np.any(phi_sq < 0):
             raise ValueError("profile entries must be non-negative")
-        if np.any(np.diff(phi) > 1e-12):
+        for coeff, ratio in (self.phi_tail, self.phi_sq_tail):
+            if not (0.0 <= ratio < 1.0 and 0.0 <= coeff < math.inf):
+                raise ValueError("a tail must be geometric: coeff >= 0, ratio in [0, 1)")
+        coeff, ratio = self.phi_tail
+        if np.any(np.diff(np.append(phi, coeff * ratio ** (phi.size + 1))) > 1e-12):
             raise ValueError("phi must be non-increasing")
         if self.fourth_moment_sup < 1.0:
             raise ValueError("sup E X^4 >= (E X^2)^2 = 1 for unit variance")
-        if not (0.0 <= self.tail_ratio < 1.0) or self.tail_coeff < 0.0:
-            raise ValueError("tail bound must be geometric with ratio in [0, 1)")
-        lags = np.arange(1, self.max_lag + 1)
-        if self.phi_lag_weighted_sum < float(lags @ phi) - 1e-9 * (1 + abs(self.phi_lag_weighted_sum)):
-            raise ValueError("phi_lag_weighted_sum misses stored mass")
-        if self.phi_sq_sum < float(phi_sq.sum()) - 1e-9 * (1 + abs(self.phi_sq_sum)):
-            raise ValueError("phi_sq_sum misses stored mass")
         phi.setflags(write=False)
         phi_sq.setflags(write=False)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "phi_sq", phi_sq)
 
     def phi_at(self, lag: int) -> float:
-        """Envelope value at a 1-based lag, falling back to the tail bound."""
-        if lag < 1:
-            raise ValueError("lag must be >= 1")
-        if lag <= self.max_lag:
-            return float(self.phi[lag - 1])
-        return self.tail_coeff * self.tail_ratio**lag
+        """phi at a 1-based lag: the stored value, or the tail past them."""
+        return _envelope_at(self.phi, self.phi_tail, lag)
+
+    def phi_sq_at(self, lag: int) -> float:
+        """phi_sq at a 1-based lag: the stored value, or the tail past them."""
+        return _envelope_at(self.phi_sq, self.phi_sq_tail, lag)
+
+    @property
+    def phi_lag_weighted_sum(self) -> float:
+        """sum_k k phi_k over every lag; past L = len(phi) the tail adds
+        sum_{k > L} k c r^k = c r^(L+1) (L + 1 - L r) / (1 - r)^2."""
+        L = self.phi.size
+        c, r = self.phi_tail
+        head = float(np.arange(1, L + 1, dtype=float) @ self.phi)
+        return head + c * r ** (L + 1) * ((L + 1) - L * r) / (1.0 - r) ** 2
+
+    @property
+    def phi_sq_sum(self) -> float:
+        """sum_k phi_sq_k over every lag; past L the tail adds c s^(L+1) / (1 - s)."""
+        L = self.phi_sq.size
+        c, s = self.phi_sq_tail
+        return float(self.phi_sq.sum()) + c * s ** (L + 1) / (1.0 - s)
 
     @property
     def hollow_coefficient_sum(self) -> float:
@@ -573,81 +583,50 @@ class DependenceProfile:
         return self.hollow_coefficient_sum + self.phi_sq_sum
 
 
-def _gaussian_ar1_profile(model: GaussianAR1, max_lag: int) -> DependenceProfile:
+def _envelope_at(head: np.ndarray, tail: tuple[float, float], lag: int) -> float:
+    if lag < 1:
+        raise ValueError("lag must be >= 1")
+    if lag <= head.size:
+        return float(head[lag - 1])
+    coeff, ratio = tail
+    return coeff * ratio**lag
+
+
+def _gaussian_ar1_profile(model: GaussianAR1) -> DependenceProfile:
     # Every mixed product covariance of a centred Gaussian vector is a sum of
     # at most three Isserlis pairings; each pairing contains one covariance
     # factor bridging the split position, and |C| <= 1 bounds the rest.  With
     # C(j) = rho^j that yields phi_k = 3 |rho|^k, exact for all lags, and
-    # cov(X_i^2, X_j^2) = 2 C(j-i)^2 gives phi_sq_k = 2 rho^{2k}.
-    r = abs(model.rho)
-    lags = np.arange(1, max_lag + 1, dtype=float)
-    phi = 3.0 * r**lags
-    phi_sq = 2.0 * (model.rho**2) ** lags
-    weighted = 3.0 * r / (1.0 - r) ** 2 if r > 0 else 0.0
-    sq_sum = 2.0 * model.rho**2 / (1.0 - model.rho**2) if r > 0 else 0.0
+    # cov(X_i^2, X_j^2) = 2 C(j-i)^2 gives phi_sq_k = 2 rho^{2k}: both are
+    # pure tails.
     return DependenceProfile(
-        phi=phi,
-        phi_sq=phi_sq,
+        phi=np.zeros(0),
+        phi_sq=np.zeros(0),
         fourth_moment_sup=3.0,
-        phi_lag_weighted_sum=weighted,
-        phi_sq_sum=sq_sum,
-        max_lag=max_lag,
-        tail_coeff=3.0 if r > 0 else 0.0,
-        tail_ratio=r,
+        phi_tail=(3.0, abs(model.rho)),
+        phi_sq_tail=(2.0, model.rho**2),
     )
 
 
-def _gaussian_ma_profile(model: GaussianMA, max_lag: int) -> DependenceProfile:
-    q = model.order
-    acf = np.array([autocovariance(model, h) for h in range(q + 1)])
-    # psi[k] = max_{h >= k} |C(h)| is the monotone envelope the pairing
-    # argument needs; support ends at the MA order.
-    psi_full = np.zeros(q + 1)
-    if q >= 1:
-        psi_full[1:] = np.flip(np.maximum.accumulate(np.flip(np.abs(acf[1:]))))
-    phi_full = 3.0 * psi_full[1:]
-    sq_full = 2.0 * acf[1:] ** 2
-    lags_full = np.arange(1, q + 1, dtype=float)
-    weighted = float(lags_full @ phi_full)
-    sq_sum = float(sq_full.sum())
-    min_double = float((2.0 * lags_full - 1.0) @ phi_full)
-    phi = np.zeros(max_lag)
-    phi_sq = np.zeros(max_lag)
-    upto = min(max_lag, q)
-    phi[:upto] = phi_full[:upto]
-    phi_sq[:upto] = sq_full[:upto]
-    tail_coeff = 0.0
-    tail_ratio = 0.0
-    if max_lag < q:
-        # Finite support that outruns the stored window: certify the stub with
-        # a crude geometric majorant; the exact aggregates above are unaffected.
-        tail_ratio = 0.5
-        ks = np.arange(max_lag + 1, q + 1, dtype=float)
-        tail_coeff = float(np.max(phi_full[max_lag:] / tail_ratio**ks))
-    return DependenceProfile(
-        phi=phi,
-        phi_sq=phi_sq,
-        fourth_moment_sup=3.0,
-        phi_lag_weighted_sum=weighted,
-        phi_sq_sum=sq_sum,
-        max_lag=max_lag,
-        tail_coeff=tail_coeff,
-        tail_ratio=tail_ratio,
-        min_double_sum=min_double,
-    )
+def _gaussian_ma_profile(model: GaussianMA) -> DependenceProfile:
+    acf = np.array([autocovariance(model, h) for h in range(1, model.order + 1)])
+    # psi_k = max_{h >= k} |C(h)| is the monotone envelope the pairing
+    # argument needs; C, and with it the profile, vanishes past the MA order.
+    psi = np.flip(np.maximum.accumulate(np.flip(np.abs(acf))))
+    return DependenceProfile(phi=3.0 * psi, phi_sq=2.0 * acf**2, fourth_moment_sup=3.0)
 
 
 _ENUM_WINDOW = 8
 
 
-def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfile:
+def _enumerated_profile(model: CovarianceModel) -> DependenceProfile:
     """Profile for sign-driven models by exhaustive enumeration.
 
     All sign configurations of a sliding window are enumerated and the four
-    covariance families are maximised per gap.  Both Rademacher variants have
-    driving range <= 1, so index tuples reaching beyond the window split into
-    independent sign blocks and contribute exactly zero; the window loses
-    nothing.
+    covariance families are maximised per gap, for gaps 1.._ENUM_WINDOW - 1.
+    Both Rademacher variants have driving range <= 1, so index tuples
+    reaching beyond the window split into independent sign blocks and
+    contribute exactly zero; the window loses nothing, and the tails are 0.
     """
     w = _ENUM_WINDOW
     x = enumerate_sign_paths(model, w)
@@ -658,8 +637,8 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
             prod = prod * x[:, c]
         return float(prod.mean())
 
-    phi = np.zeros(max_lag)
-    phi_sq = np.zeros(max_lag)
+    phi = np.zeros(w - 1)
+    phi_sq = np.zeros(w - 1)
     for i in range(w):
         for j in range(i + 1, w):
             gap = j - i
@@ -667,9 +646,8 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
             sq = float((x[:, i] ** 2 * x[:, j] ** 2).mean()) - float(
                 (x[:, i] ** 2).mean()
             ) * float((x[:, j] ** 2).mean())
-            if gap <= max_lag:
-                phi[gap - 1] = max(phi[gap - 1], pair)
-                phi_sq[gap - 1] = max(phi_sq[gap - 1], sq)
+            phi[gap - 1] = max(phi[gap - 1], pair)
+            phi_sq[gap - 1] = max(phi_sq[gap - 1], sq)
     for i in range(w):
         for j in range(i + 1, w):
             for k in range(j + 1, w):
@@ -679,48 +657,17 @@ def _enumerated_profile(model: CovarianceModel, max_lag: int) -> DependenceProfi
                     three_one = abs(e4 - mean_prod(i, j, k) * mean_prod(l))
                     two_two = abs(e4 - mean_prod(i, j) * mean_prod(k, l))
                     for gap, val in ((j - i, one_three), (l - k, three_one), (k - j, two_two)):
-                        if gap <= max_lag:
-                            phi[gap - 1] = max(phi[gap - 1], val)
+                        phi[gap - 1] = max(phi[gap - 1], val)
     fourth = float((x[:, 0] ** 4).mean())
-    lags = np.arange(1, max_lag + 1, dtype=float)
-    return DependenceProfile(
-        phi=phi,
-        phi_sq=phi_sq,
-        fourth_moment_sup=fourth,
-        phi_lag_weighted_sum=float(lags @ phi),
-        phi_sq_sum=float(phi_sq.sum()),
-        max_lag=max_lag,
-        min_double_sum=float((2.0 * lags - 1.0) @ phi),
-    )
+    return DependenceProfile(phi=phi, phi_sq=phi_sq, fourth_moment_sup=fourth)
 
 
-def dependence_profile(model: CovarianceModel, max_lag: int) -> DependenceProfile:
+def dependence_profile(model: CovarianceModel) -> DependenceProfile:
     """Exact dependence profile of a model, valid at every lag."""
-    if max_lag < 1:
-        raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if isinstance(model, GaussianAR1):
-        return _gaussian_ar1_profile(model, max_lag)
+        return _gaussian_ar1_profile(model)
     if isinstance(model, GaussianMA):
-        return _gaussian_ma_profile(model, max_lag)
+        return _gaussian_ma_profile(model)
     if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        return _enumerated_profile(model, max_lag)
+        return _enumerated_profile(model)
     raise TypeError(f"unknown model {model!r}")
-
-
-def min_phi_double_sum(profile: DependenceProfile) -> float:
-    """sum_{q,r >= 1} min(phi_q, phi_r), tails included.
-
-    Monotonicity turns the double sum into sum_m (2m - 1) phi_m, which is at
-    most twice the lag-weighted sum; the geometric tail is added in closed
-    form.  Used to certify that envelope aggregation never doubles mass.
-    """
-    if profile.min_double_sum is not None:
-        return profile.min_double_sum
-    lags = np.arange(1, profile.max_lag + 1, dtype=float)
-    total = float((2.0 * lags - 1.0) @ profile.phi)
-    a, r, L = profile.tail_coeff, profile.tail_ratio, profile.max_lag
-    if a > 0.0 and r > 0.0:
-        t0 = r ** (L + 1) / (1.0 - r)
-        t1 = r ** (L + 1) * ((L + 1) - L * r) / (1.0 - r) ** 2
-        total += a * (2.0 * t1 - t0)
-    return total

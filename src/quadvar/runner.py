@@ -52,10 +52,6 @@ from .spectral import (
 __all__ = ["ResultRecord", "run", "emit", "assertions_pass"]
 
 _BRUTE_FORCE_P = 16
-# Lags the dependence profile stores one by one. The bounds read only its
-# aggregate sums, which include the analytic tails past the last stored lag,
-# so no emitted number depends on this.
-_PROFILE_LAGS = 64
 
 
 @dataclass(frozen=True)
@@ -97,7 +93,7 @@ def _checked(row: dict, cfg, estimate, std_error, exact_key, exact, bound) -> li
 def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
     model, A = cfg.model, cfg.matrix
     p = A.shape[0]
-    profile = dependence_profile(model, _PROFILE_LAGS)
+    profile = dependence_profile(model)
     est = mc_variance(model, A, cfg.replicates, cfg.seed)
     if np.any(np.diag(A) != 0.0):
         bound = general_variance_bound(profile, A)
@@ -126,7 +122,7 @@ def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
 def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
     model, a = cfg.model, cfg.vector
     p = a.size
-    profile = dependence_profile(model, _PROFILE_LAGS)
+    profile = dependence_profile(model)
     mean, std_error = mc_fourth_moment(model, a, cfg.replicates, cfg.seed)
     bound = fourth_moment_bound(profile, a)
 
@@ -217,7 +213,7 @@ def _lrv_mc_mses(cfg: ExperimentConfig, n: int, bandwidths, sigma2: float) -> di
 
 def _run_lrv_mse(cfg: ExperimentConfig) -> list[dict]:
     model, kernel = cfg.model, cfg.kernel
-    profile = dependence_profile(model, _PROFILE_LAGS)
+    profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     cap = cfg.tolerances["ratio_cap"]
     slack = cfg.tolerances["slack_over_n"]

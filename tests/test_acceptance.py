@@ -40,7 +40,6 @@ from quadvar.models import (
     dependence_profile,
     exact_product_moment,
     generate_paths,
-    min_phi_double_sum,
 )
 from quadvar.quadform import (
     brute_force_variance,
@@ -141,7 +140,7 @@ def test_03_exact_variance_within_certified_factor_of_bounds():
     checks = 0
     worst_ratio = 0.0
     for model in GAUSSIAN_FAMILY:
-        profile = dependence_profile(model, 64)
+        profile = dependence_profile(model)
         Sigma = covariance_matrix(model, 30)
         for seed in range(5):
             for hollow in (False, True):
@@ -152,7 +151,7 @@ def test_03_exact_variance_within_certified_factor_of_bounds():
                     bounds.append(hollow_variance_bound(profile, A).bound_value)
                 # the innovation view: the path is a linear filter of iid
                 # Gaussians, whose own profile is the white one
-                white = dependence_profile(GaussianAR1(rho=0.0), 4)
+                white = dependence_profile(GaussianAR1(rho=0.0))
                 bounds.append(
                     linear_process_variance_bound(white, Sigma, A).bound_value
                 )
@@ -190,7 +189,7 @@ def test_04_profile_envelopes_hold_at_every_window_tuple():
     window = 12
     tested = 0
     for model in ALL_MODELS:
-        profile = dependence_profile(model, 16)
+        profile = dependence_profile(model)
         phi0 = profile.fourth_moment_sup
         for gap in range(1, 11):
             pairs, one_three, three_one, two_two = _window_tuples(window, gap)
@@ -212,14 +211,8 @@ def test_04_profile_envelopes_hold_at_every_window_tuple():
             # squared-variable channel
             i, j = 1, 1 + gap
             sq_cov = exact_product_moment(model, (i, i, j, j)) - 1.0
-            phi_sq = (
-                profile.phi_sq[gap - 1]
-                if gap <= profile.max_lag
-                else profile.tail_coeff * profile.tail_ratio**gap
-            )
-            assert abs(sq_cov) <= phi_sq + 1e-12, (model, "squares", gap)
+            assert abs(sq_cov) <= profile.phi_sq_at(gap) + 1e-12, (model, "squares", gap)
             tested += 1
-        assert min_phi_double_sum(profile) <= 2.0 * profile.phi_lag_weighted_sum + 1e-12
     _report("dependence envelopes dominate exact moments", f"{tested} tuples checked")
 
 
@@ -351,7 +344,7 @@ def mse_sweep():
     """Monte Carlo MSE sweep shared by the consistency and shape checks."""
     model = GaussianAR1(rho=0.5)
     kernel = Kernel("bartlett")
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     replicates = 500
     start = time.perf_counter()

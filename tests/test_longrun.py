@@ -274,7 +274,7 @@ def test_exact_bias_leading_frozen_value():
 
 
 def test_variance_bound_closed_form():
-    profile = dependence_profile(GaussianAR1(rho=0.5), 64)
+    profile = dependence_profile(GaussianAR1(rho=0.5))
     got = variance_bound_c_free(profile, Kernel("bartlett"), 10.0, 100)
     # (3 + 6 + 2/3) * (1/n + 2 (m/n) * 1/3) = 29/3 * 23/300
     assert got == pytest.approx(667.0 / 900.0, rel=1e-12)
@@ -282,9 +282,9 @@ def test_variance_bound_closed_form():
 
 def test_mse_bound_report_fields():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     report = mse_bound(profile, model, Kernel("bartlett"), 10.0, 100)
-    assert report.sigma2_true == pytest.approx(3.0, rel=1e-14)
+    assert lrv_true(model) == pytest.approx(3.0, rel=1e-14)
     # 4 (k_q Gamma_q)^2 / m^(2q) with q=1: 4 * (1*2)^2 / 100
     assert report.squared_bias_leading == pytest.approx(0.16, rel=1e-12)
     assert report.variance_bound_c_free > 0.0
@@ -293,14 +293,14 @@ def test_mse_bound_report_fields():
 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     report = mse_bound(profile, model, Kernel("truncated"), 10.0, 100)
     assert report.squared_bias_leading == 0.0
 
 
 def test_mse_bound_rejects_failing_assumptions():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     bad = Kernel.tabulated([0.0, 2.0**-43], [1.0, 0.5])
     with pytest.raises(ValueError):
         mse_bound(profile, model, bad, 10.0, 100)

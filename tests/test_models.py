@@ -24,7 +24,6 @@ from quadvar.models import (
     exact_product_moment,
     generate_paths,
     isserlis_fourth_moment,
-    min_phi_double_sum,
     path_rng,
 )
 
@@ -162,7 +161,7 @@ def test_product_mds_is_white():
     # covariance is zero as well.
     model = RademacherProductMDS()
     assert autocovariance(model, 1) == 0.0
-    profile = dependence_profile(model, 8)
+    profile = dependence_profile(model)
     assert profile.fourth_moment_sup == 1.0
     assert np.all(profile.phi == 0.0)
     assert np.all(profile.phi_sq == 0.0)
@@ -403,10 +402,10 @@ def test_rademacher_paths_are_signs():
 
 def test_ar1_profile_closed_form():
     rho = 0.5
-    profile = dependence_profile(GaussianAR1(rho=rho), 32)
-    lags = np.arange(1, 33)
-    assert np.allclose(profile.phi, 3.0 * rho**lags, rtol=1e-14)
-    assert np.allclose(profile.phi_sq, 2.0 * rho ** (2 * lags), rtol=1e-14)
+    profile = dependence_profile(GaussianAR1(rho=rho))
+    for k in range(1, 41):
+        assert profile.phi_at(k) == pytest.approx(3.0 * rho**k, rel=1e-14)
+        assert profile.phi_sq_at(k) == pytest.approx(2.0 * rho ** (2 * k), rel=1e-14)
     assert profile.fourth_moment_sup == 3.0
     assert profile.phi_lag_weighted_sum == pytest.approx(
         3.0 * rho / (1.0 - rho) ** 2, rel=1e-12
@@ -414,9 +413,28 @@ def test_ar1_profile_closed_form():
     assert profile.phi_sq_sum == pytest.approx(2.0 * rho**2 / (1.0 - rho**2), rel=1e-12)
 
 
+def test_ma_profile_is_exact_at_every_lag():
+    # c_j = 0.95^j, j = 0..80: phi_k = 3 psi_k with psi_k = max_{h >= k} |C(h)|
+    # up to the order, and C (so the envelope) is 0 past it
+    q = 80
+    model = GaussianMA(coeffs=tuple(0.95**j for j in range(q + 1)))
+    profile = dependence_profile(model)
+    acf = [abs(float(autocovariance(model, h))) for h in range(q + 1)]
+    weighted = 0.0
+    for k in range(1, q + 1):
+        psi = max(acf[k:])
+        weighted += k * 3.0 * psi
+        assert profile.phi_at(k) == pytest.approx(3.0 * psi, rel=1e-12)
+        assert profile.phi_sq_at(k) == pytest.approx(2.0 * acf[k] ** 2, rel=1e-12)
+    for k in (q + 1, q + 2, 200):
+        assert profile.phi_at(k) == 0.0
+        assert profile.phi_sq_at(k) == 0.0
+    assert profile.phi_lag_weighted_sum == pytest.approx(weighted, rel=1e-12)
+
+
 def test_rademacher_profiles_are_trivial():
     for model in (RademacherIID(), RademacherProductMDS()):
-        profile = dependence_profile(model, 16)
+        profile = dependence_profile(model)
         assert profile.fourth_moment_sup == 1.0
         assert profile.phi_lag_weighted_sum == 0.0
         assert profile.phi_sq_sum == 0.0
@@ -427,7 +445,7 @@ def test_rademacher_profiles_are_trivial():
 def test_profile_envelopes_dominate_exact_covariances(rho):
     """phi really bounds |cov(X_1, X_{1+k} X_{1+k} X_{1+k})|-type terms."""
     model = GaussianAR1(rho=rho)
-    profile = dependence_profile(model, 12)
+    profile = dependence_profile(model)
     for gap in range(1, 9):
         # pair covariance at the gap
         pair = abs(float(autocovariance(model, gap)))
@@ -438,27 +456,22 @@ def test_profile_envelopes_dominate_exact_covariances(rho):
         assert abs(m1) <= profile.phi_at(gap) + 1e-12
 
 
-@given(rho=rhos)
-@settings(max_examples=40, deadline=None)
-def test_min_double_sum_is_at_most_twice_weighted_sum(rho):
-    profile = dependence_profile(GaussianAR1(rho=rho), 24)
-    assert min_phi_double_sum(profile) <= 2.0 * profile.phi_lag_weighted_sum + 1e-12
-
-
 def test_profile_rejects_increasing_phi():
-    with pytest.raises(ValueError, match="non-increasing"):
-        DependenceProfile(
-            phi=np.array([0.1, 0.5]),
-            phi_sq=np.zeros(2),
-            fourth_moment_sup=1.0,
-            phi_lag_weighted_sum=1.1,
-            phi_sq_sum=0.0,
-            max_lag=2,
-        )
+    for fields, match in (
+        ({"phi": [0.1, 0.5], "phi_sq": [0.0, 0.0]}, "non-increasing"),
+        # the tail's first value continues the stored envelope
+        ({"phi": [0.1], "phi_sq": [0.0], "phi_tail": (3.0, 0.5)}, "non-increasing"),
+        ({"phi": [0.5, 0.1], "phi_sq": [0.0]}, "one length"),
+        ({"phi": [], "phi_sq": [], "phi_tail": (3.0, 1.0)}, "geometric"),
+        ({"phi": [], "phi_sq": [], "phi_sq_tail": (2.0, 1.5)}, "geometric"),
+        ({"phi": [], "phi_sq": [], "phi_tail": (-1.0, 0.5)}, "geometric"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            DependenceProfile(fourth_moment_sup=1.0, **fields)
 
 
 def test_profile_tail_continues_envelope():
-    profile = dependence_profile(GaussianAR1(rho=0.5), 8)
-    # beyond max_lag the geometric tail still dominates the true covariance
+    profile = dependence_profile(GaussianAR1(rho=0.5))
+    # the geometric tail dominates the true covariance at every lag
     for lag in (9, 12, 20):
         assert abs(float(autocovariance(GaussianAR1(rho=0.5), lag))) <= profile.phi_at(lag)

@@ -59,7 +59,7 @@ def test_asymmetric_sigma_is_rejected_at_every_scale(scale):
     # the defect is half the largest entry at every scale; at 1e170 a sum of
     # squared entries overflows, and at 1e-20 the defect is far below 1
     Sigma = np.array([[1.0, 0.5], [0.0, 1.0]]) * scale
-    profile = dependence_profile(RademacherIID(), 4)
+    profile = dependence_profile(RademacherIID())
     with pytest.raises(ValueError, match="symmetric"):
         gaussian_exact_variance(Sigma, np.eye(2))
     with pytest.raises(ValueError, match="symmetric"):
@@ -186,7 +186,7 @@ def test_mc_fourth_moment_tracks_gaussian_closed_form():
 
 def test_hollow_bound_components_on_known_profile():
     # AR(1) rho=0.5: sup E X^4 = 3, lag-weighted sum = 3*0.5/0.25 = 6
-    profile = dependence_profile(GaussianAR1(rho=0.5), 64)
+    profile = dependence_profile(GaussianAR1(rho=0.5))
     report = hollow_variance_bound(profile, HOLLOW_2)
     assert report.coefficient_sum == pytest.approx(9.0, rel=1e-12)
     assert report.trace_term == pytest.approx(2.0)  # tr(AA') for the swap matrix
@@ -196,11 +196,11 @@ def test_hollow_bound_components_on_known_profile():
 
 def test_hollow_bound_rejects_nonzero_diagonal():
     with pytest.raises(ValueError, match="diagonal"):
-        hollow_variance_bound(dependence_profile(RademacherIID(), 4), np.eye(2))
+        hollow_variance_bound(dependence_profile(RademacherIID()), np.eye(2))
 
 
 def test_general_bound_adds_square_covariance_mass():
-    profile = dependence_profile(GaussianAR1(rho=0.5), 64)
+    profile = dependence_profile(GaussianAR1(rho=0.5))
     hollow = hollow_variance_bound(profile, HOLLOW_2)
     general = general_variance_bound(profile, HOLLOW_2)
     assert general.coefficient_sum == pytest.approx(
@@ -211,7 +211,7 @@ def test_general_bound_adds_square_covariance_mass():
 
 def test_linear_process_bound_uses_sandwiched_trace():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     Sigma = covariance_matrix(model, 4)
     A = gaussian_test_matrix(4, seed=5)
     report = linear_process_variance_bound(profile, Sigma, A)
@@ -221,7 +221,7 @@ def test_linear_process_bound_uses_sandwiched_trace():
 
 
 def test_fourth_moment_bound_scale():
-    profile = dependence_profile(RademacherIID(), 8)
+    profile = dependence_profile(RademacherIID())
     a = np.array([1.0, -2.0, 0.5])
     report = fourth_moment_bound(profile, a)
     assert report.bound_value == pytest.approx(float(a @ a) ** 2, rel=1e-12)
@@ -230,7 +230,7 @@ def test_fourth_moment_bound_scale():
 @given(scale=st.floats(min_value=0.1, max_value=10.0))
 @settings(max_examples=25, deadline=None)
 def test_bounds_are_quadratic_in_the_matrix(scale):
-    profile = dependence_profile(GaussianAR1(rho=0.3), 32)
+    profile = dependence_profile(GaussianAR1(rho=0.3))
     A = gaussian_test_matrix(5, seed=6, hollow=True)
     base = hollow_variance_bound(profile, A).bound_value
     scaled = hollow_variance_bound(profile, scale * A).bound_value
@@ -242,7 +242,7 @@ def test_bounds_are_quadratic_in_the_matrix(scale):
 def test_exact_variance_never_exceeds_certified_bound(rho, seed):
     """The constant-free bound holds with factor 3 over random instances."""
     model = GaussianAR1(rho=rho)
-    profile = dependence_profile(model, 64)
+    profile = dependence_profile(model)
     A = gaussian_test_matrix(10, seed=seed)
     exact = gaussian_exact_variance(covariance_matrix(model, 10), A)
     assert exact <= 3.0 * general_variance_bound(profile, A).bound_value + 1e-9

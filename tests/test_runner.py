@@ -320,6 +320,30 @@ def test_monte_carlo_path_block_at_the_doubles_cap_is_accepted():
     assert validate(json.dumps(raw)).replicates == 2**10
 
 
+_AR1_NEAR_ONE = {"name": "gaussian_ar1", "rho": 0.9999999}
+
+
+@pytest.mark.parametrize(
+    "raw, field",
+    [
+        # the Bartlett support of 1 at m = 1e15 asks for 1e15 lags
+        pytest.param({**_LRV, "sweep": [[100, 4.0], [100, 1e15]]}, "sweep[1]", id="support"),
+        pytest.param({**_LRV, "sweep": [[100, 2.0**24 + 1]]}, "sweep[0]", id="support_edge"),
+        # the AR(1) tail reaches double precision only after 5.8e8 lags
+        pytest.param({**_LRV, "model": _AR1_NEAR_ONE}, "sweep[0]", id="ar1_tail"),
+    ],
+)
+def test_exact_bias_lags_past_the_doubles_cap_is_exit_two(tmp_path, capsys, raw, field):
+    """validate refuses a sweep point whose exact bias would sum more lags
+    than the cap, before any lag vector is allocated."""
+    _refused(tmp_path, capsys, json.dumps({**raw, "replicates": 2}), field)
+
+
+def test_exact_bias_lags_at_the_doubles_cap_are_accepted():
+    raw = {**_LRV, "replicates": 2, "sweep": [[100, 2.0**24]]}
+    assert validate(json.dumps(raw)).sweep == ((100, 2.0**24),)
+
+
 def test_nan_in_a_key_the_kind_never_reads_is_exit_two(tmp_path, capsys):
     # json reads NaN, and the hash raises TypeError on it: the key must be refused first
     text = _config(model={"name": "rademacher_iid"}).replace(
@@ -856,3 +880,24 @@ def test_run_all_configs_check_compares_emitted_bytes(tmp_path):
     # the one changed cell is named, old value first
     assert "  1, experiment: stieltjes_grix -> stieltjes_grid\n" in changed.stdout
     assert changed.stdout.count(" -> ") == 1
+
+
+def test_run_all_configs_reads_several_directories(tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    for directory, name in ((first, "kernel_check.json"), (second, "stieltjes_grid.json")):
+        directory.mkdir()
+        shutil.copy(REPO / "configs" / name, directory)
+    reference = tmp_path / "reference"
+    done = _run_all_configs("--configs", first, second, "--out", reference)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert sorted(p.name for p in reference.iterdir()) == [
+        "kernel_check.csv",
+        "stieltjes_grid.csv",
+    ]
+
+    # two configs named alike would write one CSV: refused before any runs
+    shutil.copy(REPO / "configs" / "kernel_check.json", second)
+    clash = _run_all_configs("--configs", first, second, "--out", tmp_path / "clash")
+    assert clash.returncode == 2
+    assert "kernel_check.csv" in clash.stderr and clash.stdout == ""
+    assert not (tmp_path / "clash").exists()
