@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from quadvar.config import ConfigError, check_exact_bias_lags
 from quadvar.longrun import Kernel, lrv_true, mc_mse, mse_bound
 from quadvar.models import GaussianAR1, dependence_profile, generate_paths
 
@@ -31,6 +32,13 @@ def main() -> int:
     except ValueError as exc:
         parser.error(str(exc))
     model = GaussianAR1(rho=args.rho)
+    # the exact bias sums one lag vector per bandwidth: refuse one past the
+    # config cap before anything is drawn
+    for m in args.bandwidths:
+        try:
+            check_exact_bias_lags(model, kernel, m, args.n, "--bandwidths")
+        except ConfigError as exc:
+            parser.error(str(exc))
     profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     paths = generate_paths(model, args.n, args.seed, args.replicates)

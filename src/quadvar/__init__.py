@@ -9,10 +9,8 @@ from .longrun import (
     KernelAssumptions,
     MSEReport,
     check_assumptions,
-    cumulant_sum,
     estimate_lrv,
     exact_bias,
-    fourth_cumulant,
     gamma_q,
     kernel_envelope,
     kernel_eval,
@@ -32,6 +30,7 @@ from .models import (
     covariance_matrix,
     dependence_profile,
     exact_product_moment,
+    excess_kurtosis,
     generate_paths,
     isserlis_fourth_moment,
     path_rng,
@@ -40,6 +39,8 @@ from .quadform import (
     BoundReport,
     VarianceEstimate,
     brute_force_variance,
+    exact_fourth_moment,
+    exact_variance,
     fourth_moment_bound,
     gaussian_exact_variance,
     gaussian_test_matrix,

@@ -38,15 +38,17 @@ __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
     "canonical_hash",
+    "check_exact_bias_lags",
     "validate",
     "load_config",
 ]
 
 _MAX_SEED = (1 << 64) - 1
-# Doubles one array built from a config size may hold: p * p (a matrix or an
-# esd covariance), p * n (an esd sample), p (a vector), atoms * points (a grid),
-# replicates * p or replicates * max n (a Monte Carlo path block), and the lags
-# the exact bias of one lrv_mse sweep point sums.
+# Doubles one array built from a config size may hold: p * p (a matrix, the
+# covariance of a fourth_moment vector, or an esd covariance), p * n (an esd
+# sample), atoms * points (a grid), replicates * p or replicates * max n (a
+# Monte Carlo path block), and the lags the exact bias of one lrv_mse sweep
+# point sums.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -115,6 +117,13 @@ def _expect_seed(obj: Any, where: str) -> int:
 def _check_doubles(count: int, where: str, what: str) -> None:
     if count > _MAX_DOUBLES:
         raise ConfigError(f"{where}: {what} = {count} exceeds the cap of {_MAX_DOUBLES} doubles")
+
+
+def check_exact_bias_lags(
+    model: CovarianceModel, kernel: Kernel, m: float, n: int, where: str
+) -> None:
+    """Refuse a bandwidth whose exact bias at n would sum more lags than the cap."""
+    _check_doubles(_leading_stop(model, kernel, m, n), where, "exact-bias lags")
 
 
 def _real(obj: Any, where: str) -> float:
@@ -253,9 +262,10 @@ def _build_vector(section: Any, where: str) -> np.ndarray:
         a = np.array(_floats(entries, f"{where}.entries"))
         if a.size == 0:
             raise ConfigError(f"{where}.entries: expected a non-empty finite 1-D array")
+        _check_doubles(a.size * a.size, f"{where}.entries", "p^2")
         return a
     p = _expect_int(_required(section, "p", where, "ones vectors"), f"{where}.p", minimum=1)
-    _check_doubles(p, f"{where}.p", "p")
+    _check_doubles(p * p, f"{where}.p", "p^2")
     return np.ones(p)
 
 
@@ -498,8 +508,7 @@ def validate(
         longest = max(n for n, _ in kwargs["sweep"])
         _check_doubles(replicates * longest, "replicates", "replicates x max n")
         for i, (n, m) in enumerate(kwargs["sweep"]):
-            lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
-            _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
+            check_exact_bias_lags(kwargs["model"], kwargs["kernel"], m, n, f"sweep[{i}]")
     elif "replicates" in spec.optional:
         p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
         _check_doubles(replicates * p, "replicates", "replicates x p")

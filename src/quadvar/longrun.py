@@ -33,7 +33,6 @@ from .models import (
     RademacherIID,
     RademacherProductMDS,
     autocovariance,
-    exact_product_moment,
 )
 
 __all__ = [
@@ -52,8 +51,6 @@ __all__ = [
     "exact_bias",
     "variance_bound_c_free",
     "mse_bound",
-    "fourth_cumulant",
-    "cumulant_sum",
 ]
 
 # The named kernels' constants (Andrews, Econometrica 59, 1991): support
@@ -548,29 +545,3 @@ def mse_bound(
         squared_bias_leading=squared_leading,
     )
 
-
-def fourth_cumulant(model: CovarianceModel, j: int, k: int, l: int) -> float:
-    """kappa(X_t, X_{t+j}, X_{t+k}, X_{t+l}) for centred stationary X,
-    via the standard identity E[WXYZ] - E[WX]E[YZ] - E[WY]E[XZ] - E[WZ]E[XY]."""
-    if min(j, k, l) < 0:
-        raise ValueError("lags must be >= 0")
-    moment = exact_product_moment(model, (1, 1 + j, 1 + k, 1 + l))
-
-    def c(lag: int) -> float:
-        return float(autocovariance(model, abs(lag)))
-
-    return moment - c(j) * c(l - k) - c(k) * c(l - j) - c(l) * c(k - j)
-
-
-def cumulant_sum(model: CovarianceModel, lags: int) -> float:
-    """Triple sum of |kappa(X_t, X_{t+j}, X_{t+k}, X_{t+l})| over
-    1 <= j, k, l <= lags (the summability condition competing with the
-    covariance-envelope route)."""
-    if lags < 1:
-        raise ValueError(f"lags must be >= 1, got {lags}")
-    total = 0.0
-    for j in range(1, lags + 1):
-        for k in range(1, lags + 1):
-            for l in range(1, lags + 1):
-                total += abs(fourth_cumulant(model, j, k, l))
-    return total

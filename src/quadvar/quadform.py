@@ -1,6 +1,12 @@
 """Quadratic forms X'AX of dependent sequences: exact variances, Monte Carlo
 estimates, and the profile-driven variance bounds.
 
+The exact moments come from the covariance and the joint fourth cumulant
+kappa, which every model here has on the diagonal only (``excess_kurtosis``):
+
+* var(x'Ax) = 2 tr((Sigma B)^2) + kappa_4 sum_i B_ii^2, B = (A + A')/2,
+* E (a'x)^4 = 3 (a' Sigma a)^2 + kappa_4 sum_i a_i^4.
+
 The bounds come in three strengths, all with the universal constant factored
 out so that reported values are the trace/coefficient product only:
 
@@ -19,7 +25,9 @@ import numpy as np
 from .models import (
     CovarianceModel,
     DependenceProfile,
+    covariance_matrix,
     enumerate_sign_paths,
+    excess_kurtosis,
     generate_paths,
     path_rng,
 )
@@ -27,11 +35,12 @@ from .models import (
 __all__ = [
     "symmetrize",
     "gaussian_exact_variance",
+    "exact_variance",
+    "exact_fourth_moment",
     "VarianceEstimate",
     "mc_variance",
     "mc_fourth_moment",
     "brute_force_variance",
-    "brute_force_fourth_moment",
     "BoundReport",
     "fourth_moment_bound",
     "hollow_variance_bound",
@@ -42,9 +51,6 @@ __all__ = [
 
 _BRUTE_FORCE_MAX_P = 20
 _CHUNK = 1 << 14
-# Rows per block in brute_force_fourth_moment: at p = 12 (sign products), 8 192
-# or 16 384 rows raised a Monte Carlo pass's peak RSS by 1.1 MiB, 1 024 did not.
-_FOURTH_CHUNK = 1 << 10
 _SYMMETRY_REL = 1e-12  # largest max|S - S'| / max|S| accepted as symmetric
 
 
@@ -93,6 +99,24 @@ def gaussian_exact_variance(Sigma, A) -> float:
         raise ValueError("Sigma and A must have equal shapes")
     M = Sigma @ B
     return 2.0 * float(np.sum(M * M.T))
+
+
+def exact_variance(model: CovarianceModel, A) -> float:
+    """var(x'Ax) for any model at any p: the Gaussian value plus
+    kappa_4 sum_i B_ii^2, the only cumulant term a diagonal cumulant leaves
+    (for i.i.d. entries, Bai & Silverstein, Spectral Analysis of Large
+    Dimensional Random Matrices, 2010)."""
+    A = _as_square(A)
+    d = np.diag(A)  # B_ii = (A_ii + A_ii) / 2 = A_ii exactly
+    gaussian = gaussian_exact_variance(covariance_matrix(model, A.shape[0]), A)
+    return gaussian + excess_kurtosis(model) * float(np.sum(d * d))
+
+
+def exact_fourth_moment(model: CovarianceModel, a) -> float:
+    """E (a'x)^4 for any model at any p: 3 (a' Sigma a)^2 + kappa_4 sum_i a_i^4."""
+    a = _as_vector(a)
+    gaussian = 3.0 * float(a @ covariance_matrix(model, a.size) @ a) ** 2
+    return gaussian + excess_kurtosis(model) * float(np.sum(a**4))
 
 
 @dataclass(frozen=True)
@@ -151,6 +175,7 @@ def brute_force_variance(model: CovarianceModel, A) -> float:
     Equal-weight enumeration over 2^p (independent signs) or 2^(p+1)
     (products of consecutive signs) configurations; exact because every
     intermediate sum is a small integer.  Other models raise TypeError.
+    The tests check ``exact_variance`` against it; no experiment calls it.
     """
     A = _as_square(A)
     p = A.shape[0]
@@ -166,20 +191,6 @@ def brute_force_variance(model: CovarianceModel, A) -> float:
         total += x.shape[0]
     mean = acc1 / total
     return acc2 / total - mean * mean
-
-
-def brute_force_fourth_moment(model: CovarianceModel, a) -> float:
-    """Exact E (a'x)^4 for sign-driven models, enumerated as in
-    ``brute_force_variance`` but summed by ufuncs only, with no BLAS call."""
-    a = _as_vector(a)
-    if a.size > _BRUTE_FORCE_MAX_P:
-        raise ValueError(f"enumeration capped at p = {_BRUTE_FORCE_MAX_P}, got {a.size}")
-    total = 0
-    acc = 0.0
-    while (x := enumerate_sign_paths(model, a.size, total, total + _FOURTH_CHUNK)).shape[0]:
-        acc += float(((x * a).sum(axis=1) ** 4).sum())
-        total += x.shape[0]
-    return acc / total
 
 
 @dataclass(frozen=True)

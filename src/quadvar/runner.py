@@ -20,20 +20,11 @@ from .longrun import (
     mc_mse,
     mse_bound,
 )
-from .models import (
-    GaussianAR1,
-    GaussianMA,
-    RademacherIID,
-    RademacherProductMDS,
-    covariance_matrix,
-    dependence_profile,
-    generate_paths,
-)
+from .models import dependence_profile, generate_paths
 from .quadform import (
-    brute_force_fourth_moment,
-    brute_force_variance,
+    exact_fourth_moment,
+    exact_variance,
     fourth_moment_bound,
-    gaussian_exact_variance,
     general_variance_bound,
     hollow_variance_bound,
     mc_fourth_moment,
@@ -50,8 +41,6 @@ from .spectral import (
 )
 
 __all__ = ["ResultRecord", "run", "emit", "assertions_pass"]
-
-_BRUTE_FORCE_P = 16
 
 
 @dataclass(frozen=True)
@@ -75,15 +64,14 @@ def assertions_pass(records: list[ResultRecord]) -> bool:
 
 def _checked(row: dict, cfg, estimate, std_error, exact_key, exact, bound) -> list[dict]:
     """[row] closed by a Monte Carlo estimate's checks: the exact value,
-    z-score and agreement where an exact value exists, then the bound."""
+    z-score and agreement, then the bound."""
     sigmas = cfg.tolerances["assert_sigmas"]
-    if exact is not None:
-        row[exact_key] = exact
-        if std_error > 0.0:
-            row["z_score"] = (estimate - exact) / std_error
-        else:
-            row["z_score"] = 0.0 if estimate == exact else math.inf
-        row["assert_within_sigmas"] = int(abs(estimate - exact) <= sigmas * std_error)
+    row[exact_key] = exact
+    if std_error > 0.0:
+        row["z_score"] = (estimate - exact) / std_error
+    else:
+        row["z_score"] = 0.0 if estimate == exact else math.inf
+    row["assert_within_sigmas"] = int(abs(estimate - exact) <= sigmas * std_error)
     # the bound is constant-free: certify against factor * bound, plus MC noise
     factor = cfg.tolerances["certificate_factor"]
     row["assert_bound"] = int(estimate <= factor * bound.bound_value + sigmas * std_error)
@@ -92,22 +80,14 @@ def _checked(row: dict, cfg, estimate, std_error, exact_key, exact, bound) -> li
 
 def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
     model, A = cfg.model, cfg.matrix
-    p = A.shape[0]
     profile = dependence_profile(model)
     est = mc_variance(model, A, cfg.replicates, cfg.seed)
     if np.any(np.diag(A) != 0.0):
         bound = general_variance_bound(profile, A)
     else:
         bound = hollow_variance_bound(profile, A)
-
-    exact = None
-    if isinstance(model, (GaussianAR1, GaussianMA)):
-        exact = gaussian_exact_variance(covariance_matrix(model, p), A)
-    elif isinstance(model, (RademacherIID, RademacherProductMDS)) and p <= _BRUTE_FORCE_P:
-        exact = brute_force_variance(model, A)
-
     row = {
-        "p": p,
+        "p": A.shape[0],
         "replicates": cfg.replicates,
         "mc_variance": est.variance,
         "mc_std_error": est.std_error,
@@ -116,30 +96,24 @@ def _run_quadform_var(cfg: ExperimentConfig) -> list[dict]:
         "trace_term": bound.trace_term,
         "coefficient_sum": bound.coefficient_sum,
     }
+    exact = exact_variance(model, A)
     return _checked(row, cfg, est.variance, est.std_error, "exact_variance", exact, bound)
 
 
 def _run_fourth_moment(cfg: ExperimentConfig) -> list[dict]:
     model, a = cfg.model, cfg.vector
-    p = a.size
     profile = dependence_profile(model)
     mean, std_error = mc_fourth_moment(model, a, cfg.replicates, cfg.seed)
     bound = fourth_moment_bound(profile, a)
-
-    exact = None
-    if isinstance(model, (GaussianAR1, GaussianMA)):
-        exact = 3.0 * float(a @ covariance_matrix(model, p) @ a) ** 2
-    elif isinstance(model, (RademacherIID, RademacherProductMDS)) and p <= _BRUTE_FORCE_P:
-        exact = brute_force_fourth_moment(model, a)
-
     row = {
-        "p": p,
+        "p": a.size,
         "replicates": cfg.replicates,
         "mc_fourth_moment": mean,
         "mc_std_error": std_error,
         "bound_value": bound.bound_value,
         "coefficient_sum": bound.coefficient_sum,
     }
+    exact = exact_fourth_moment(model, a)
     return _checked(row, cfg, mean, std_error, "exact_fourth_moment", exact, bound)
 
 

@@ -9,7 +9,12 @@ import math
 import numpy as np
 
 from quadvar.longrun import estimate_lrv
-from quadvar.models import exact_product_moment, generate_paths
+from quadvar.models import (
+    autocovariance,
+    enumerate_sign_paths,
+    exact_product_moment,
+    generate_paths,
+)
 from quadvar.spectral import SpectralModel, limit_stieltjes, mp_stieltjes
 
 
@@ -68,6 +73,54 @@ def sign_fourth_moment_reference(model, a) -> float:
                     coeff = ai * aj * ak * al
                     if coeff != 0.0:
                         total += coeff * exact_product_moment(model, (i, j, k, l))
+    return total
+
+
+_FOURTH_CHUNK = 1 << 10  # sign configurations per enumeration block
+_FOURTH_MAX_P = 20
+
+
+def brute_force_fourth_moment(model, a) -> float:
+    """Exact E (a'x)^4 for sign-driven models by enumerating all 2^p or
+    2^(p+1) driving-sign configurations, summed by ufuncs only."""
+    a = np.asarray(a, dtype=float)
+    if a.size > _FOURTH_MAX_P:
+        raise ValueError(f"enumeration capped at p = {_FOURTH_MAX_P}, got {a.size}")
+    total = 0
+    acc = 0.0
+    while (x := enumerate_sign_paths(model, a.size, total, total + _FOURTH_CHUNK)).shape[0]:
+        acc += float(((x * a).sum(axis=1) ** 4).sum())
+        total += x.shape[0]
+    return acc / total
+
+
+def fourth_cumulant(model, j: int, k: int, l: int) -> float:
+    """kappa(X_t, X_{t+j}, X_{t+k}, X_{t+l}) for centred stationary X,
+    via the standard identity E[WXYZ] - E[WX]E[YZ] - E[WY]E[XZ] - E[WZ]E[XY].
+
+    Built from ``exact_product_moment`` alone, it checks the diagonal
+    cumulant that ``excess_kurtosis`` asserts."""
+    if min(j, k, l) < 0:
+        raise ValueError("lags must be >= 0")
+    moment = exact_product_moment(model, (1, 1 + j, 1 + k, 1 + l))
+
+    def c(lag: int) -> float:
+        return float(autocovariance(model, abs(lag)))
+
+    return moment - c(j) * c(l - k) - c(k) * c(l - j) - c(l) * c(k - j)
+
+
+def cumulant_sum(model, lags: int) -> float:
+    """Triple sum of |kappa(X_t, X_{t+j}, X_{t+k}, X_{t+l})| over
+    1 <= j, k, l <= lags (the summability condition competing with the
+    covariance-envelope route)."""
+    if lags < 1:
+        raise ValueError(f"lags must be >= 1, got {lags}")
+    total = 0.0
+    for j in range(1, lags + 1):
+        for k in range(1, lags + 1):
+            for l in range(1, lags + 1):
+                total += abs(fourth_cumulant(model, j, k, l))
     return total
 
 

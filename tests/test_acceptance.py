@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import cumulant_sum
 from quadvar.longrun import (
     Kernel,
     check_assumptions,
-    cumulant_sum,
     estimate_lrv,
     exact_bias,
     kernel_eval,

@@ -7,13 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cumulant_sum, fourth_cumulant
 from quadvar.longrun import (
     Kernel,
     check_assumptions,
-    cumulant_sum,
     estimate_lrv,
     exact_bias,
-    fourth_cumulant,
     gamma_q,
     kernel_envelope,
     kernel_eval,

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import parity_moment
+from oracles import fourth_cumulant, parity_moment
 from quadvar import models
 from quadvar.models import (
     DependenceProfile,
@@ -22,6 +22,7 @@ from quadvar.models import (
     dependence_profile,
     enumerate_sign_paths,
     exact_product_moment,
+    excess_kurtosis,
     generate_paths,
     isserlis_fourth_moment,
     path_rng,
@@ -430,6 +431,49 @@ def test_ma_profile_is_exact_at_every_lag():
         assert profile.phi_at(k) == 0.0
         assert profile.phi_sq_at(k) == 0.0
     assert profile.phi_lag_weighted_sum == pytest.approx(weighted, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model", ALL_MODELS + [GaussianMA(coeffs=tuple(0.95**j for j in range(81)))]
+)
+def test_covariance_matrix_is_the_integer_lag_autocovariance(model):
+    # covariance_matrix passes its lags as whole doubles
+    for p in (1, 5, 120):
+        idx = np.arange(p)
+        want = autocovariance(model, np.abs(idx[:, None] - idx[None, :]))
+        assert covariance_matrix(model, p).tobytes() == want.tobytes()
+
+
+CUMULANT_MODELS = [
+    GaussianAR1(rho=0.5),
+    GaussianAR1(rho=0.9),
+    GaussianMA(coeffs=(0.6, 0.3, 0.1)),
+    RademacherIID(),
+    RademacherProductMDS(),
+]
+
+
+@pytest.mark.parametrize("model", CUMULANT_MODELS)
+def test_fourth_cumulant_is_excess_kurtosis_on_the_diagonal_only(model):
+    # the moment identity over every (j, k, l) of a 6-lag window, from
+    # exact_product_moment alone, against the claim excess_kurtosis makes
+    kappa4 = excess_kurtosis(model)
+    assert kappa4 == (0.0 if isinstance(model, (GaussianAR1, GaussianMA)) else -2.0)
+    for j in range(6):
+        for k in range(6):
+            for l in range(6):
+                want = kappa4 if j == k == l == 0 else 0.0
+                assert fourth_cumulant(model, j, k, l) == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("model", CUMULANT_MODELS)
+def test_profile_fourth_moment_is_three_plus_excess_kurtosis(model):
+    assert dependence_profile(model).fourth_moment_sup == 3.0 + excess_kurtosis(model)
+
+
+def test_excess_kurtosis_rejects_unknown_models():
+    with pytest.raises(TypeError):
+        excess_kurtosis(object())
 
 
 def test_rademacher_profiles_are_trivial():

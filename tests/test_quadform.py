@@ -1,11 +1,12 @@
-"""Quadratic-form variance: Monte Carlo, enumeration, and C-free bounds."""
+"""Quadratic-form variance: exact moments, Monte Carlo, enumeration, and
+C-free bounds."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sign_fourth_moment_reference
+from oracles import brute_force_fourth_moment, sign_fourth_moment_reference
 from quadvar.models import (
     GaussianAR1,
     GaussianMA,
@@ -16,8 +17,9 @@ from quadvar.models import (
     generate_paths,
 )
 from quadvar.quadform import (
-    brute_force_fourth_moment,
     brute_force_variance,
+    exact_fourth_moment,
+    exact_variance,
     fourth_moment_bound,
     gaussian_exact_variance,
     gaussian_test_matrix,
@@ -132,6 +134,54 @@ def test_brute_force_fourth_moment_is_the_rademacher_closed_form(model):
 def test_brute_force_fourth_moment_rejects_large_p(model):
     with pytest.raises(ValueError, match="enumeration capped at p = 20, got 21"):
         brute_force_fourth_moment(model, np.ones(21))
+
+
+# ------------------------------------------------- exact moments from kappa_4
+
+
+@pytest.mark.parametrize("model", SIGN_MODELS)
+def test_exact_variance_is_the_sign_enumeration(model):
+    rng = np.random.default_rng(5)
+    for p in (1, 2, 5, 8, 12):
+        A = rng.standard_normal((p, p))  # diagonal included, not symmetric
+        want = brute_force_variance(model, A)
+        assert exact_variance(model, A) == pytest.approx(want, rel=1e-13)
+        # integer entries keep every sum exact on both routes
+        A = rng.integers(-3, 4, size=(p, p)).astype(float)
+        assert exact_variance(model, A) == brute_force_variance(model, A)
+
+
+@pytest.mark.parametrize("model", SIGN_MODELS)
+def test_exact_fourth_moment_is_the_sign_enumeration(model):
+    rng = np.random.default_rng(6)
+    for p in (1, 4, 9, 12):
+        ones = np.ones(p)
+        assert exact_fourth_moment(model, ones) == brute_force_fourth_moment(model, ones)
+        assert exact_fourth_moment(model, ones) == sign_fourth_moment_reference(model, ones)
+        a = rng.standard_normal(p)
+        got = exact_fourth_moment(model, a)
+        assert got == pytest.approx(brute_force_fourth_moment(model, a), rel=1e-13)
+        assert got == pytest.approx(sign_fourth_moment_reference(model, a), rel=1e-13)
+
+
+@pytest.mark.parametrize("model", [GaussianAR1(rho=0.5), GaussianMA(coeffs=(0.6, 0.3, 0.1))])
+def test_exact_moments_keep_the_gaussian_bits(model):
+    # kappa_4 = 0 adds an exact 0.0 to the closed forms
+    for p in (1, 7, 50):
+        Sigma = covariance_matrix(model, p)
+        A = gaussian_test_matrix(p, seed=p)
+        want = gaussian_exact_variance(Sigma, A)
+        assert exact_variance(model, A).hex() == want.hex()
+        a = gaussian_test_matrix(p, seed=p + 1)[0]
+        want = 3.0 * float(a @ Sigma @ a) ** 2
+        assert exact_fourth_moment(model, a).hex() == want.hex()
+
+
+def test_exact_moments_reject_bad_shapes():
+    with pytest.raises(ValueError, match="square"):
+        exact_variance(RademacherIID(), np.ones((2, 3)))
+    with pytest.raises(ValueError, match="vector"):
+        exact_fourth_moment(RademacherIID(), np.ones((2, 2)))
 
 
 # --------------------------------------------------------------- Monte Carlo

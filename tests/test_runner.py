@@ -6,6 +6,7 @@ import json
 import math
 import os
 import re
+import runpy
 import shutil
 import subprocess
 import sys
@@ -268,6 +269,17 @@ def test_vector_and_kernel_keys_the_kind_never_reads_are_exit_two(tmp_path, caps
             json.dumps({**_FOURTH, "vector": {"kind": "ones", "p": 2**24 + 1}}),
             "vector.p",
             id="vector",
+        ),
+        # the exact fourth moment forms the p x p covariance of the vector
+        pytest.param(
+            json.dumps({**_FOURTH, "vector": {"kind": "ones", "p": 4097}}),
+            "vector.p",
+            id="vector_4097",
+        ),
+        pytest.param(
+            json.dumps({**_FOURTH, "vector": {"kind": "explicit", "entries": [1.0] * 4097}}),
+            "vector.entries",
+            id="vector_entries_4097",
         ),
         pytest.param(
             json.dumps(
@@ -610,23 +622,40 @@ def test_lrv_mse_matches_the_per_point_reference_bit_for_bit():
         assert record.metrics["mc_mse"].hex() == want.hex(), (n, m)
 
 
-def test_sign_fourth_moment_is_exact_up_to_the_enumeration_cap():
-    # the fourth-moment oracle shares quadform_var's cap of p = 16
-    config = {
-        **_FOURTH,
-        "model": {"name": "rademacher_product_mds"},
-        "vector": {"kind": "ones", "p": 14},
-        "replicates": 2000,
-    }
+def test_vector_at_the_covariance_cap_is_accepted():
+    raw = {**_FOURTH, "replicates": 2, "vector": {"kind": "ones", "p": 4096}}
+    assert validate(json.dumps(raw)).vector.size == 4096
+
+
+@pytest.mark.parametrize(
+    "config, exact_key, exact",
+    [
+        # 2^25 sign configurations: past any enumeration, exact from Sigma and kappa_4
+        pytest.param(
+            {
+                **_QUADFORM,
+                "model": {"name": "rademacher_product_mds"},
+                "matrix": {"kind": "gaussian", "p": 24, "seed": 3},
+                "replicates": 20000,
+            },
+            "exact_variance",
+            None,
+            id="quadform_var_p24",
+        ),
+        pytest.param(
+            {**_FOURTH, "vector": {"kind": "ones", "p": 40}, "replicates": 20000},
+            "exact_fourth_moment",
+            3.0 * 40**2 - 2.0 * 40,
+            id="fourth_moment_p40",
+        ),
+    ],
+)
+def test_sign_models_are_exact_past_any_enumeration(config, exact_key, exact):
     records = run(validate(json.dumps(config)))
     metrics = records[0].metrics
-    assert metrics["exact_fourth_moment"] == 3.0 * 14**2 - 2.0 * 14
-    assert list(metrics)[-4:] == [
-        "exact_fourth_moment",
-        "z_score",
-        "assert_within_sigmas",
-        "assert_bound",
-    ]
+    if exact is not None:
+        assert metrics[exact_key] == exact
+    assert list(metrics)[-4:] == [exact_key, "z_score", "assert_within_sigmas", "assert_bound"]
     assert assertions_pass(records)
 
 
@@ -901,3 +930,26 @@ def test_run_all_configs_reads_several_directories(tmp_path):
     assert clash.returncode == 2
     assert "kernel_check.csv" in clash.stderr and clash.stdout == ""
     assert not (tmp_path / "clash").exists()
+
+
+def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, capsys):
+    """A bandwidth whose exact bias would sum 1e15 lags exits 2 through the
+    parser before a path is drawn or a lag vector allocated."""
+    import quadvar.models
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn before the bandwidths were checked")
+
+    monkeypatch.setattr(quadvar.models, "generate_paths", no_draws)
+    argv = ["bandwidth_tradeoff.py", "--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"]
+    monkeypatch.setattr(sys, "argv", argv)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_path(str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert exc.value.code == 2
+    assert "--bandwidths: exact-bias lags = 1000000000000000 exceeds" in capsys.readouterr().err
+    assert peak <= 2**20
