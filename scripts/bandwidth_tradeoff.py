@@ -5,16 +5,22 @@ Holds n fixed and sweeps m, printing the measured MSE next to the two
 bound terms whose crossover drives the optimal bandwidth:
 
     python scripts/bandwidth_tradeoff.py --n 8000 --bandwidths 2 8 32 128
+
+The arguments are checked as the ``lrv_mse`` config they describe, whose
+``sweep[i]`` is ``[--n, bandwidth i]``: anything that config would refuse,
+such as a path block or an exact-bias lag vector past the size cap, exits 2
+naming its field before anything is drawn.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 
-from quadvar.config import ConfigError, check_exact_bias_lags
-from quadvar.longrun import Kernel, lrv_true, mc_mse, mse_bound
-from quadvar.models import GaussianAR1, dependence_profile, generate_paths
+from quadvar.config import ConfigError, validate
+from quadvar.longrun import lrv_true, mc_mse, mse_bound
+from quadvar.models import dependence_profile, generate_paths
 
 
 def main() -> int:
@@ -27,27 +33,27 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=7)
     args = parser.parse_args()
 
+    config = {
+        "experiment": "lrv_mse",
+        "seed": args.seed,
+        "replicates": args.replicates,
+        "model": {"name": "gaussian_ar1", "rho": args.rho},
+        "kernel": {"name": args.kernel},
+        "sweep": [[args.n, m] for m in args.bandwidths],
+    }
     try:
-        kernel = Kernel(args.kernel)
-    except ValueError as exc:
-        parser.error(str(exc))
-    model = GaussianAR1(rho=args.rho)
-    # the exact bias sums one lag vector per bandwidth: refuse one past the
-    # config cap before anything is drawn
-    for m in args.bandwidths:
-        try:
-            check_exact_bias_lags(model, kernel, m, args.n, "--bandwidths")
-        except ConfigError as exc:
-            parser.error(str(exc))
-    profile = dependence_profile(model)
-    sigma2 = lrv_true(model)
-    paths = generate_paths(model, args.n, args.seed, args.replicates)
+        cfg = validate(json.dumps(config))
+    except ConfigError as exc:
+        parser.error(f"as an lrv_mse config: {exc}")
+    profile = dependence_profile(cfg.model)
+    sigma2 = lrv_true(cfg.model)
+    paths = generate_paths(cfg.model, args.n, cfg.seed, cfg.replicates)
 
     print(f"true long-run variance: {sigma2:.6f}")
     print(f"{'m':>8s} {'mc_mse':>12s} {'var_bound':>12s} {'sq_bias':>12s}")
-    for m in args.bandwidths:
-        mse = mc_mse(paths, kernel, m, sigma2)
-        report = mse_bound(profile, model, kernel, m, args.n)
+    for _, m in cfg.sweep:
+        mse = mc_mse(paths, cfg.kernel, m, sigma2)
+        report = mse_bound(profile, cfg.model, cfg.kernel, m, args.n)
         print(
             f"{m:8.1f} {mse:12.6f} "
             f"{report.variance_bound_c_free:12.6f} {report.squared_bias_leading:12.6f}"

@@ -38,7 +38,6 @@ __all__ = [
     "ExperimentConfig",
     "EXPERIMENTS",
     "canonical_hash",
-    "check_exact_bias_lags",
     "validate",
     "load_config",
 ]
@@ -117,13 +116,6 @@ def _expect_seed(obj: Any, where: str) -> int:
 def _check_doubles(count: int, where: str, what: str) -> None:
     if count > _MAX_DOUBLES:
         raise ConfigError(f"{where}: {what} = {count} exceeds the cap of {_MAX_DOUBLES} doubles")
-
-
-def check_exact_bias_lags(
-    model: CovarianceModel, kernel: Kernel, m: float, n: int, where: str
-) -> None:
-    """Refuse a bandwidth whose exact bias at n would sum more lags than the cap."""
-    _check_doubles(_leading_stop(model, kernel, m, n), where, "exact-bias lags")
 
 
 def _real(obj: Any, where: str) -> float:
@@ -508,7 +500,8 @@ def validate(
         longest = max(n for n, _ in kwargs["sweep"])
         _check_doubles(replicates * longest, "replicates", "replicates x max n")
         for i, (n, m) in enumerate(kwargs["sweep"]):
-            check_exact_bias_lags(kwargs["model"], kwargs["kernel"], m, n, f"sweep[{i}]")
+            lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
+            _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
     elif "replicates" in spec.optional:
         p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
         _check_doubles(replicates * p, "replicates", "replicates x p")

@@ -25,15 +25,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import (
-    CovarianceModel,
-    DependenceProfile,
-    GaussianAR1,
-    GaussianMA,
-    RademacherIID,
-    RademacherProductMDS,
-    autocovariance,
-)
+from .models import CovarianceModel, DependenceProfile, _acf, autocovariance
 
 __all__ = [
     "Kernel",
@@ -359,73 +351,52 @@ def mc_mse(paths, kernel: Kernel, m: float, sigma2: float) -> float:
 
 
 def _autocov_tail_sum(model: CovarianceModel, start: int) -> float:
-    """sum_{j >= start} C(j), exact for every bundled model (start >= 1)."""
-    if isinstance(model, GaussianAR1):
-        return float(model.rho**start / (1.0 - model.rho))
-    if isinstance(model, GaussianMA):
-        order = model.order
-        if start > order:
-            return 0.0
-        return float(np.sum(autocovariance(model, np.arange(start, order + 1))))
-    return 0.0
+    """sum_{j >= start} C(j), exact for every model (start >= 1): the head
+    of its ``_acf`` table from ``start`` on plus the geometric tail past it."""
+    head, (coeff, ratio) = _acf(model)
+    tail = coeff * ratio ** max(start, head.size) / (1.0 - ratio)
+    return float(np.sum(head[start:])) + tail
 
 
 def lrv_true(model: CovarianceModel) -> float:
-    """sigma^2 = sum_j C(j) over all integers j.
-
-    Every bundled model admits an exact evaluation: a geometric series for
-    the autoregression, a finite sum for the moving average, white noise
-    otherwise.
-    """
-    if isinstance(model, GaussianAR1):
-        return (1.0 + model.rho) / (1.0 - model.rho)
-    if isinstance(model, GaussianMA):
-        return float(sum(model.coeffs)) ** 2
-    if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        return 1.0
-    raise TypeError(f"unknown model {model!r}")
+    """sigma^2 = sum_j C(j) over all integers j, C(0) + 2 sum_{j >= 1} C(j),
+    exact for every model: a finite sum over its ``_acf`` head plus the
+    geometric series of its tail."""
+    return float(autocovariance(model, 0)) + 2.0 * _autocov_tail_sum(model, 1)
 
 
-# Certified bound on the truncation error of Gamma_q's autoregressive series.
+# Certified bound on the truncation error of Gamma_q's geometric tail.
 _GAMMA_TAIL_TOL = 1e-12
 
 
 def gamma_q(model: CovarianceModel, q: float) -> float:
     """Gamma_q = sum_{j >= 1} j^q C(j) with a certified truncation error.
 
-    The autoregression is summed until the geometric ratio bound certifies
-    the remainder below ``_GAMMA_TAIL_TOL``; the moving average is a finite
-    sum and white noise contributes nothing.
+    The lags of the model's ``_acf`` head are summed in full.  Its
+    geometric tail c r^j is summed on until the ratio bound certifies the
+    remainder below ``_GAMMA_TAIL_TOL``; a zero tail adds nothing.
     """
     if not (math.isfinite(q) and q >= 0.0):
         raise ValueError(f"q must be a finite real >= 0, got {q}")
-    if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        return 0.0
-    if isinstance(model, GaussianMA):
-        js = np.arange(1, model.order + 1)
-        if js.size == 0:
-            return 0.0
-        return float(np.sum(js**q * autocovariance(model, js)))
-    if isinstance(model, GaussianAR1):
-        r = abs(model.rho)
-        if r == 0.0:
-            return 0.0
-        total = 0.0
-        j = 1
-        while True:
-            term = j**q * model.rho**j
-            total += term
-            ratio = r * ((j + 1) / j) ** q
-            if ratio < 1.0:
-                remainder = (j + 1) ** q * r ** (j + 1) / (1.0 - ratio)
-                if remainder <= _GAMMA_TAIL_TOL:
-                    return total
-            j += 1
-            if j > 10**7:
-                raise ValueError(
-                    f"Gamma_q tail not certified below {_GAMMA_TAIL_TOL} within 1e7 terms"
-                )
-    raise TypeError(f"unknown model {model!r}")
+    head, (coeff, ratio) = _acf(model)
+    js = np.arange(1, head.size)
+    total = float(np.sum(js**q * head[1:]))
+    r = abs(ratio)
+    if coeff == 0.0 or r == 0.0:
+        return total
+    j = head.size
+    while True:
+        total += j**q * (coeff * ratio**j)
+        step = r * ((j + 1) / j) ** q
+        if step < 1.0:
+            remainder = abs(coeff) * (j + 1) ** q * r ** (j + 1) / (1.0 - step)
+            if remainder <= _GAMMA_TAIL_TOL:
+                return total
+        j += 1
+        if j > 10**7:
+            raise ValueError(
+                f"Gamma_q tail not certified below {_GAMMA_TAIL_TOL} within 1e7 terms"
+            )
 
 
 @dataclass(frozen=True)
@@ -481,12 +452,13 @@ def _leading_stop(model: CovarianceModel, kernel: Kernel, m: float, n: int) -> i
     stop = n - 1
     if math.isfinite(kernel.support_radius):
         stop = max(stop, int(math.ceil(kernel.support_radius * m)))
-    if isinstance(model, GaussianAR1) and model.rho != 0.0:
-        r = abs(model.rho)
+    head, (coeff, ratio) = _acf(model)
+    stop = max(stop, head.size - 1)
+    r = abs(ratio)
+    if coeff != 0.0 and r != 0.0:
         # beyond this lag the geometric tail is below double precision
-        stop = max(stop, int(math.ceil(math.log(1e-18 * (1.0 - r)) / math.log(r))))
-    elif isinstance(model, GaussianMA):
-        stop = max(stop, model.order)
+        lag = math.log(1e-18 * (1.0 - r) / abs(coeff)) / math.log(r)
+        stop = max(stop, int(math.ceil(lag)))
     return stop
 
 

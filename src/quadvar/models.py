@@ -13,13 +13,16 @@ and a second sequence ``phi_sq`` with cov(X_i^2, X_j^2) <= phi_sq[j - i].
 The aggregates that enter the variance bounds are the supremum of fourth
 moments, the lag-weighted sum of ``phi`` and the plain sum of ``phi_sq``.
 
-A profile stores each envelope at the lags its model sets one by one and a
-geometric tail past them, and derives the sums from both.  Profiles here
-are exact: Gaussian models get closed forms via Isserlis pairings (AR(1) a
-pure tail, MA(q) lags 1..q and a zero tail), Rademacher models get
-exhaustive enumeration of their driving signs over a window of lags.
-Sampling uses a counter-based generator keyed by (seed, stream), so any
-path is reproducible in isolation regardless of execution order.
+Each model's second-order law is one table, ``_acf``: the autocovariance
+at the lags 0..L the model sets one by one (AR(1) and the sign models
+L = 0, MA(q) L = q) and a geometric tail past them.  The table and the
+excess kurtosis, every model's whole joint fourth cumulant, fix the exact
+profile by one pairing rule (``dependence_profile``), and the long-run
+variance and spectral sums read the same table.  A profile stores each
+envelope at the lags 1..L and a geometric tail past them, and derives the
+sums from both.  Sampling uses a counter-based generator keyed by (seed,
+stream), so any path is reproducible in isolation regardless of execution
+order.
 """
 
 from __future__ import annotations
@@ -144,7 +147,9 @@ def enumerate_sign_paths(
     model: CovarianceModel, p: int, start: int = 0, stop: int | None = None
 ) -> np.ndarray:
     """The +-1 paths of length p of driving-sign configurations start..stop-1,
-    one a row, where bit t of configuration c is driving bit t.
+    one a row, where bit t of configuration c is driving bit t: what
+    ``brute_force_variance`` and the sign-enumeration test oracles average
+    over.
 
     ``stop`` defaults to, and is clipped at, the number of configurations:
     2^p for ``RademacherIID`` and 2^(p+1) for ``RademacherProductMDS``.
@@ -440,21 +445,31 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     return out
 
 
+def _acf(model: CovarianceModel) -> tuple[np.ndarray, tuple[float, float]]:
+    """The model's second-order law as ``(head, (coeff, ratio))``: head[j]
+    is C(j) for the lags 0..L = head.size - 1 the model sets one by one,
+    and C(j) = coeff * ratio**j past L."""
+    if isinstance(model, GaussianAR1):
+        return np.ones(1), (1.0, float(model.rho))
+    if isinstance(model, GaussianMA):
+        c = np.asarray(model.coeffs)
+        return np.array([float(c[: c.size - h] @ c[h:]) for h in range(c.size)]), (0.0, 0.0)
+    if isinstance(model, (RademacherIID, RademacherProductMDS)):
+        return np.ones(1), (0.0, 0.0)
+    raise TypeError(f"unknown model {model!r}")
+
+
 def autocovariance(model: CovarianceModel, lag) -> np.ndarray | float:
     """C(lag) = cov(X_t, X_{t+lag}); accepts scalars or arrays of integer
     lags, stored as integers or as whole doubles."""
+    head, (coeff, ratio) = _acf(model)
+    last = head.size - 1
     j = np.abs(np.asarray(lag))
-    if isinstance(model, GaussianAR1):
-        out = np.where(j == 0, 1.0, np.power(float(model.rho), j.astype(float)))
-    elif isinstance(model, GaussianMA):
-        c = np.asarray(model.coeffs)
-        q = model.order
-        acf = np.array([float(c[: len(c) - h] @ c[h:]) for h in range(q + 1)])
-        out = np.where(j <= q, acf[np.minimum(j, q).astype(np.intp)], 0.0)
-    elif isinstance(model, (RademacherIID, RademacherProductMDS)):
-        out = np.where(j == 0, 1.0, 0.0)
-    else:
-        raise TypeError(f"unknown model {model!r}")
+    out = np.where(
+        j <= last,
+        head[np.minimum(j, last).astype(np.intp)],
+        coeff * np.power(ratio, j.astype(float)),
+    )
     return float(out) if np.isscalar(lag) else out
 
 
@@ -611,82 +626,26 @@ def _envelope_at(head: np.ndarray, tail: tuple[float, float], lag: int) -> float
     return coeff * ratio**lag
 
 
-def _gaussian_ar1_profile(model: GaussianAR1) -> DependenceProfile:
-    # Every mixed product covariance of a centred Gaussian vector is a sum of
-    # at most three Isserlis pairings; each pairing contains one covariance
-    # factor bridging the split position, and |C| <= 1 bounds the rest.  With
-    # C(j) = rho^j that yields phi_k = 3 |rho|^k, exact for all lags, and
-    # cov(X_i^2, X_j^2) = 2 C(j-i)^2 gives phi_sq_k = 2 rho^{2k}: both are
-    # pure tails.
-    return DependenceProfile(
-        phi=np.zeros(0),
-        phi_sq=np.zeros(0),
-        fourth_moment_sup=3.0,
-        phi_tail=(3.0, abs(model.rho)),
-        phi_sq_tail=(2.0, model.rho**2),
-    )
-
-
-def _gaussian_ma_profile(model: GaussianMA) -> DependenceProfile:
-    acf = np.array([autocovariance(model, h) for h in range(1, model.order + 1)])
-    # psi_k = max_{h >= k} |C(h)| is the monotone envelope the pairing
-    # argument needs; C, and with it the profile, vanishes past the MA order.
-    psi = np.flip(np.maximum.accumulate(np.flip(np.abs(acf))))
-    return DependenceProfile(phi=3.0 * psi, phi_sq=2.0 * acf**2, fourth_moment_sup=3.0)
-
-
-_ENUM_WINDOW = 8
-
-
-def _enumerated_profile(model: CovarianceModel) -> DependenceProfile:
-    """Profile for sign-driven models by exhaustive enumeration.
-
-    All sign configurations of a sliding window are enumerated and the four
-    covariance families are maximised per gap, for gaps 1.._ENUM_WINDOW - 1.
-    Both Rademacher variants have driving range <= 1, so index tuples
-    reaching beyond the window split into independent sign blocks and
-    contribute exactly zero; the window loses nothing, and the tails are 0.
-    """
-    w = _ENUM_WINDOW
-    x = enumerate_sign_paths(model, w)
-
-    def mean_prod(*cols):
-        prod = np.ones(x.shape[0])
-        for c in cols:
-            prod = prod * x[:, c]
-        return float(prod.mean())
-
-    phi = np.zeros(w - 1)
-    phi_sq = np.zeros(w - 1)
-    for i in range(w):
-        for j in range(i + 1, w):
-            gap = j - i
-            pair = abs(mean_prod(i, j) - mean_prod(i) * mean_prod(j))
-            sq = float((x[:, i] ** 2 * x[:, j] ** 2).mean()) - float(
-                (x[:, i] ** 2).mean()
-            ) * float((x[:, j] ** 2).mean())
-            phi[gap - 1] = max(phi[gap - 1], pair)
-            phi_sq[gap - 1] = max(phi_sq[gap - 1], sq)
-    for i in range(w):
-        for j in range(i + 1, w):
-            for k in range(j + 1, w):
-                for l in range(k + 1, w):
-                    e4 = mean_prod(i, j, k, l)
-                    one_three = abs(e4 - mean_prod(i) * mean_prod(j, k, l))
-                    three_one = abs(e4 - mean_prod(i, j, k) * mean_prod(l))
-                    two_two = abs(e4 - mean_prod(i, j) * mean_prod(k, l))
-                    for gap, val in ((j - i, one_three), (l - k, three_one), (k - j, two_two)):
-                        phi[gap - 1] = max(phi[gap - 1], val)
-    fourth = float((x[:, 0] ** 4).mean())
-    return DependenceProfile(phi=phi, phi_sq=phi_sq, fourth_moment_sup=fourth)
-
-
 def dependence_profile(model: CovarianceModel) -> DependenceProfile:
-    """Exact dependence profile of a model, valid at every lag."""
-    if isinstance(model, GaussianAR1):
-        return _gaussian_ar1_profile(model)
-    if isinstance(model, GaussianMA):
-        return _gaussian_ma_profile(model)
-    if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        return _enumerated_profile(model)
-    raise TypeError(f"unknown model {model!r}")
+    """Exact dependence profile of a model, valid at every lag, from its
+    ``_acf`` table and ``excess_kurtosis``.
+
+    No covariance the profile bounds puts all four indices at one position,
+    so the fourth cumulant drops out and each is a sum of at most three
+    Isserlis pairings.  Each pairing has one covariance factor bridging the
+    split, and |C| <= 1 bounds the rest: phi_k = 3 psi_k with
+    psi_k = max_{h >= k} |C(h)| the monotone envelope, and
+    cov(X_i^2, X_j^2) = 2 C(j - i)^2 gives phi_sq.  Past the head both are
+    geometric tails of the autocovariance's own tail, which
+    ``DependenceProfile`` refuses if it would rise above the head's psi.
+    """
+    head, (coeff, ratio) = _acf(model)
+    acf = head[1:]
+    psi = np.flip(np.maximum.accumulate(np.flip(np.abs(acf))))
+    return DependenceProfile(
+        phi=3.0 * psi,
+        phi_sq=2.0 * acf**2,
+        fourth_moment_sup=3.0 + excess_kurtosis(model),
+        phi_tail=(3.0 * abs(coeff), abs(ratio)),
+        phi_sq_tail=(2.0 * coeff**2, ratio**2),
+    )

@@ -39,13 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    CovarianceModel,
-    GaussianAR1,
-    GaussianMA,
-    autocovariance,
-    generate_paths,
-)
+from .models import CovarianceModel, GaussianAR1, _acf, generate_paths
 from .quadform import _check_symmetric
 
 __all__ = [
@@ -665,10 +659,11 @@ _SZEGO_NODES = 128
 
 def _spectral_density(model: CovarianceModel, theta: np.ndarray) -> np.ndarray:
     """f(theta) = C(0) + 2 sum_j C(j) cos(j theta), the spectral density
-    normalised to mean 1 over [0, pi], of any model but a dependent AR(1)."""
-    order = model.order if isinstance(model, GaussianMA) else 0
-    acf = autocovariance(model, np.arange(order + 1))
-    lags = np.arange(1, order + 1)
+    normalised to mean 1 over [0, pi], over the lags of the model's ``_acf``
+    head: exact for a model whose tail is zero, every one but a dependent
+    AR(1)."""
+    acf = _acf(model)[0]
+    lags = np.arange(1, acf.size)
     waves = acf[1:, None] * np.cos(np.multiply.outer(lags, theta))
     return acf[0] + 2.0 * waves.sum(axis=0)
 

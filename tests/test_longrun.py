@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import cumulant_sum, fourth_cumulant
 from quadvar.longrun import (
     Kernel,
+    _autocov_tail_sum,
     check_assumptions,
     estimate_lrv,
     exact_bias,
@@ -232,6 +233,33 @@ def test_lrv_true_closed_forms():
     )
     assert lrv_true(RademacherIID()) == 1.0
     assert lrv_true(RademacherProductMDS()) == 1.0
+
+
+ALL_MODELS = [
+    GaussianAR1(rho=0.5),
+    GaussianMA(coeffs=(0.6, 0.3, 0.1)),
+    RademacherIID(),
+    RademacherProductMDS(),
+]
+
+
+@pytest.mark.parametrize(
+    "model", ALL_MODELS + [GaussianAR1(rho=-0.7), GaussianMA(coeffs=(1.0, -0.8, 0.4))]
+)
+def test_autocovariance_sums_match_direct_sums(model):
+    # every C here decays at least geometrically, and at J / 2 the largest
+    # weighted term is already below 1e-18: the tail past J is far below it
+    J = 400
+    cov = autocovariance(model, np.arange(J + 1))
+    assert J**2 * abs(cov[J // 2]) < 1e-18
+    js = np.arange(1, J + 1)
+    assert lrv_true(model) == pytest.approx(math.fsum([cov[0], *(2.0 * cov[1:])]), rel=1e-12)
+    for q in (1.0, 2.0):
+        direct = math.fsum(js**q * cov[1:])
+        assert gamma_q(model, q) == pytest.approx(direct, rel=1e-12)
+    for start in (1, 2, 3, 5):
+        direct = math.fsum(cov[start:])
+        assert _autocov_tail_sum(model, start) == pytest.approx(direct, rel=1e-12)
 
 
 def test_gamma_q_geometric_series():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import fourth_cumulant, parity_moment
 from quadvar import models
+from quadvar.longrun import Kernel, exact_bias, gamma_q, lrv_true
 from quadvar.models import (
     DependenceProfile,
     GaussianAR1,
@@ -472,8 +473,18 @@ def test_profile_fourth_moment_is_three_plus_excess_kurtosis(model):
 
 
 def test_excess_kurtosis_rejects_unknown_models():
-    with pytest.raises(TypeError):
-        excess_kurtosis(object())
+    # the autocovariance table is the one guard of every second-order value
+    unknown = object()
+    for call in (
+        lambda: excess_kurtosis(unknown),
+        lambda: autocovariance(unknown, 1),
+        lambda: dependence_profile(unknown),
+        lambda: lrv_true(unknown),
+        lambda: gamma_q(unknown, 1.0),
+        lambda: exact_bias(unknown, Kernel("bartlett"), 2.0, 10),
+    ):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_rademacher_profiles_are_trivial():
@@ -484,11 +495,21 @@ def test_rademacher_profiles_are_trivial():
         assert profile.phi_sq_sum == 0.0
 
 
-@given(rho=rhos)
-@settings(max_examples=40, deadline=None)
-def test_profile_envelopes_dominate_exact_covariances(rho):
+ma_models = st.lists(
+    st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=6
+).filter(lambda c: any(abs(v) > 1e-3 for v in c)).map(lambda c: GaussianMA(coeffs=tuple(c)))
+
+
+@given(
+    model=st.one_of(
+        rhos.map(lambda rho: GaussianAR1(rho=rho)),
+        ma_models,
+        st.sampled_from([RademacherIID(), RademacherProductMDS()]),
+    )
+)
+@settings(max_examples=80, deadline=None)
+def test_profile_envelopes_dominate_exact_covariances(model):
     """phi really bounds |cov(X_1, X_{1+k} X_{1+k} X_{1+k})|-type terms."""
-    model = GaussianAR1(rho=rho)
     profile = dependence_profile(model)
     for gap in range(1, 9):
         # pair covariance at the gap
@@ -498,6 +519,9 @@ def test_profile_envelopes_dominate_exact_covariances(rho):
         # moment the covariance itself
         m1 = exact_product_moment(model, (1, 1 + gap, 1 + gap, 2 + gap))
         assert abs(m1) <= profile.phi_at(gap) + 1e-12
+        # squared-variable channel
+        sq = exact_product_moment(model, (1, 1, 1 + gap, 1 + gap)) - 1.0
+        assert abs(sq) <= profile.phi_sq_at(gap) + 1e-12
 
 
 def test_profile_rejects_increasing_phi():

@@ -932,24 +932,49 @@ def test_run_all_configs_reads_several_directories(tmp_path):
     assert not (tmp_path / "clash").exists()
 
 
+def test_bench_configs_pass_their_assertions():
+    # the only configs with sign-model bound rows at p = 12 and 16; run
+    # without --out, the script writes no file
+    bench = REPO / "bench" / "configs"
+    workloads = [bench / "monte_carlo", bench / "spectral_esd"]
+    before = sorted((p, p.stat().st_mtime_ns) for p in bench.rglob("*"))
+    done = _run_all_configs("--configs", *workloads)
+    assert done.returncode == 0, done.stdout + done.stderr
+    assert done.stdout.count("  pass") == sum(len(list(d.glob("*.json"))) for d in workloads)
+    assert sorted((p, p.stat().st_mtime_ns) for p in bench.rglob("*")) == before
+
+
 def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, capsys):
-    """A bandwidth whose exact bias would sum 1e15 lags exits 2 through the
-    parser before a path is drawn or a lag vector allocated."""
+    """The arguments are checked as an lrv_mse config: a bandwidth whose exact
+    bias would sum 1e15 lags, and a path block past the doubles cap, each
+    exit 2 through the parser before a path is drawn or a lag vector
+    allocated, naming the config field at fault."""
     import quadvar.models
 
     def no_draws(*args, **kwargs):
-        raise AssertionError("paths drawn before the bandwidths were checked")
+        raise AssertionError("paths drawn before the arguments were checked")
 
     monkeypatch.setattr(quadvar.models, "generate_paths", no_draws)
-    argv = ["bandwidth_tradeoff.py", "--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"]
-    monkeypatch.setattr(sys, "argv", argv)
-    tracemalloc.start()
-    try:
-        with pytest.raises(SystemExit) as exc:
-            runpy.run_path(str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__")
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert exc.value.code == 2
-    assert "--bandwidths: exact-bias lags = 1000000000000000 exceeds" in capsys.readouterr().err
-    assert peak <= 2**20
+    for args, message in (
+        (
+            ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"],
+            "sweep[1]: exact-bias lags = 1000000000000000 exceeds",
+        ),
+        (
+            ["--n", "200000", "--replicates", "100"],
+            "replicates: replicates x max n = 20000000 exceeds",
+        ),
+    ):
+        monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
+        tracemalloc.start()
+        try:
+            with pytest.raises(SystemExit) as exc:
+                runpy.run_path(
+                    str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__"
+                )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert exc.value.code == 2, args
+        assert message in capsys.readouterr().err, args
+        assert peak <= 2**20, args
