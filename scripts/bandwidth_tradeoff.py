@@ -9,7 +9,8 @@ bound terms whose crossover drives the optimal bandwidth:
 The arguments are checked as the ``lrv_mse`` config they describe, whose
 ``sweep[i]`` is ``[--n, bandwidth i]``: anything that config would refuse,
 such as a path block or an exact-bias lag vector past the size cap, exits 2
-naming its field before anything is drawn.
+naming its field before anything is drawn.  The rows are the records
+``run`` gives for that config.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import json
 import sys
 
 from quadvar.config import ConfigError, validate
-from quadvar.longrun import lrv_true, mc_mse, mse_bound
-from quadvar.models import dependence_profile, generate_paths
+from quadvar.runner import run
 
 
 def main() -> int:
@@ -45,18 +45,14 @@ def main() -> int:
         cfg = validate(json.dumps(config))
     except ConfigError as exc:
         parser.error(f"as an lrv_mse config: {exc}")
-    profile = dependence_profile(cfg.model)
-    sigma2 = lrv_true(cfg.model)
-    paths = generate_paths(cfg.model, args.n, cfg.seed, cfg.replicates)
+    rows = [record.metrics for record in run(cfg)]
 
-    print(f"true long-run variance: {sigma2:.6f}")
+    print(f"true long-run variance: {rows[0]['sigma2_true']:.6f}")
     print(f"{'m':>8s} {'mc_mse':>12s} {'var_bound':>12s} {'sq_bias':>12s}")
-    for _, m in cfg.sweep:
-        mse = mc_mse(paths, cfg.kernel, m, sigma2)
-        report = mse_bound(profile, cfg.model, cfg.kernel, m, args.n)
+    for row in rows:
         print(
-            f"{m:8.1f} {mse:12.6f} "
-            f"{report.variance_bound_c_free:12.6f} {report.squared_bias_leading:12.6f}"
+            f"{row['m']:8.1f} {row['mc_mse']:12.6f} "
+            f"{row['variance_bound_c_free']:12.6f} {row['squared_bias_leading']:12.6f}"
         )
     return 0
 

@@ -55,7 +55,6 @@ from .spectral import (
     ConvergenceError,
     SpectralModel,
     StieltjesValue,
-    density_grid,
     effective_spectral_model,
     kolmogorov_distance,
     limit_cdf,

@@ -24,9 +24,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("experiment", choices=sorted(EXPERIMENTS))
     parser.add_argument("--config", required=True, help="path to a JSON config file")
-    parser.add_argument("--out", default=None, help="write records here (overrides config)")
+    parser.add_argument("--out", default=None, help="write records here")
     parser.add_argument(
-        "--format", default=None, choices=("csv", "json"), help="output format override"
+        "--format", default=None, choices=("csv", "json"), help="output format (default csv)"
     )
     parser.add_argument("--seed", default=None, type=int, help="seed override (u64)")
     return parser

@@ -4,9 +4,9 @@ A config is a single JSON object.  Validation is deliberately unforgiving:
 unknown and repeated keys are rejected with their path, parse errors carry
 line and column, every number must be a JSON number that fits a double, and
 every experiment declares exactly which sections it reads.  The canonical
-hash covers the experiment-defining content (seed included, output
-destination excluded, a kernel table read from a file by its contents) so
-that re-running the same config, or the same config with its keys reordered,
+hash covers the experiment-defining content (seed and fixed thresholds
+included, a kernel table read from a file by its contents) so that
+re-running the same config, or the same config with its keys reordered,
 always lands on the same digest.
 """
 
@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .longrun import Kernel, _leading_stop
+from .longrun import Kernel, _leading_stop, check_assumptions
 from .models import (
     CovarianceModel,
     GaussianAR1,
@@ -62,7 +62,7 @@ class _Experiment(NamedTuple):
 
     required: tuple[str, ...]  # sections, each built by its entry in _BUILDERS
     optional: dict[str, int]  # integer keys and their minimums
-    tolerances: dict[str, float]  # defaults, each of which a config may override
+    tolerances: dict[str, float]  # the fixed thresholds its assertions use
 
 
 _MC_TOLERANCES = {"assert_sigmas": 4.0, "certificate_factor": 3.0}
@@ -83,7 +83,7 @@ EXPERIMENTS: dict[str, _Experiment] = {
     "kernel_check": _Experiment(("kernel",), {}, {}),
 }
 
-_COMMON_KEYS = frozenset({"experiment", "seed", "tolerances", "out", "format"})
+_COMMON_KEYS = frozenset({"experiment", "seed"})
 
 
 def _expect(obj: Any, kind: type, where: str) -> Any:
@@ -359,8 +359,8 @@ class ExperimentConfig:
 
     ``canonical`` is the defaults-filled plain-JSON image of the config, with
     a tabulated kernel's grid and values in place of its csv path, and is
-    what the hash digests; ``out`` and ``fmt`` route output but do not
-    participate in it.
+    what the hash digests; ``out`` and ``fmt``, set by overrides alone, route
+    output but do not participate in it.
     """
 
     experiment: str
@@ -421,9 +421,11 @@ def validate(
 ) -> ExperimentConfig:
     """Parse and validate a JSON config, applying CLI overrides if given.
 
-    Overrides may set ``seed`` (participates in the hash), ``out`` and
-    ``format`` (do not).  Raises ConfigError with line/column for parse
-    failures and with a field path for anything structural.
+    The text holds only the experiment; its thresholds are the fixed ones in
+    ``EXPERIMENTS``.  Overrides may set ``seed`` (participates in the hash),
+    ``out`` and ``format`` (do not; nothing else routes output).  Raises
+    ConfigError with line/column for parse failures and with a field path
+    for anything structural or that the run would refuse.
     """
     try:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
@@ -466,20 +468,6 @@ def validate(
     else:
         raise ConfigError("seed: required key missing (seeds are mandatory)")
 
-    tolerances = dict(spec.tolerances)
-    if "tolerances" in raw:
-        tol_raw = _expect(raw["tolerances"], dict, "tolerances")
-        for key, value in tol_raw.items():
-            if key not in tolerances:
-                raise ConfigError(f"tolerances.{key}: unknown key for {experiment!r}")
-            if key == "max_iter":
-                tolerances[key] = _expect_int(value, f"tolerances.{key}", minimum=1)
-            else:
-                value = _real(value, f"tolerances.{key}")
-                if not value > 0.0:
-                    raise ConfigError(f"tolerances.{key}: must be > 0, got {value}")
-                tolerances[key] = value
-
     kwargs: dict[str, Any] = {
         key: _expect_int(raw[key], key, minimum=minimum)
         for key, minimum in spec.optional.items()
@@ -497,6 +485,9 @@ def validate(
     # the field default of ExperimentConfig is the only copy
     replicates = kwargs.get("replicates", ExperimentConfig.replicates)
     if experiment == "lrv_mse":
+        report = check_assumptions(kwargs["kernel"])
+        if not report.all_pass:
+            raise ConfigError(f"kernel: fails its assumptions: {report}")
         longest = max(n for n, _ in kwargs["sweep"])
         _check_doubles(replicates * longest, "replicates", "replicates x max n")
         for i, (n, m) in enumerate(kwargs["sweep"]):
@@ -506,21 +497,17 @@ def validate(
         p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
         _check_doubles(replicates * p, "replicates", "replicates x p")
 
-    out = raw.get("out")
-    if out is not None:
-        out = _expect(out, str, "out")
-    if overrides.get("out") is not None:
-        out = str(overrides["out"])
-    fmt = _expect(raw.get("format", "csv"), str, "format")
-    if overrides.get("format") is not None:
-        fmt = str(overrides["format"])
+    out = overrides.get("out")
+    out = None if out is None else str(out)
+    fmt = overrides.get("format")
+    fmt = "csv" if fmt is None else str(fmt)
     if fmt not in ("csv", "json"):
         raise ConfigError(f"format: expected csv or json, got {fmt!r}")
 
     canonical: dict[str, Any] = {
         "experiment": experiment,
         "seed": seed,
-        "tolerances": tolerances,
+        "tolerances": dict(spec.tolerances),
     }
     for key in spec.required:
         canonical[key] = raw[key]
@@ -539,7 +526,7 @@ def validate(
         experiment=experiment,
         seed=seed,
         canonical=canonical,
-        tolerances=tolerances,
+        tolerances=canonical["tolerances"],
         out=out,
         fmt=fmt,
         **kwargs,

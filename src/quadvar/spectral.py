@@ -14,8 +14,8 @@ v <- -1/(z - c sum_k w_k lambda_k / (1 + lambda_k v)) on v = -(1-c)/z + c m,
 which keeps v in the upper half-plane, with a Newton step tried first and
 kept only where it stays there and lowers |m - F(m)|.  ``solve_stieltjes``
 is its one checked entry point, and every route calls it: the
-``stieltjes_grid`` experiment, ``limit_stieltjes``, ``density_grid`` and
-``limit_cdf``, whose fine grid it warm-starts from the coarse one.
+``stieltjes_grid`` experiment, ``limit_stieltjes`` and ``limit_cdf``, whose
+fine grid it warm-starts from the coarse one.
 Eigenvalues come from one in-house route, Householder tridiagonalisation
 followed by Sturm-count bisection, built from ufunc reductions so that no
 BLAS thread count can change their bits; LAPACK is its oracle in the tests,
@@ -53,7 +53,6 @@ __all__ = [
     "solve_stieltjes",
     "limit_stieltjes",
     "mp_stieltjes",
-    "density_grid",
     "limit_cdf",
     "kolmogorov_distance",
     "effective_spectral_model",
@@ -440,11 +439,11 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     with more than one point each column is summed in sequence; numpy's
     in-place complex product (``term *= inv``) can also round a one-element
     block differently from a longer one.  So ``limit_stieltjes(z)`` and a
-    grid solve (``solve_stieltjes`` on many points, ``density_grid``) at the
-    same z can differ in the last bits, and a change here must keep the
-    shape of every operation; that is why the companion residual is formed
-    on the whole unconverged set whenever any Newton step is rejected, not
-    on the rejected points.
+    grid solve (``solve_stieltjes`` on many points) at the same z can differ
+    in the last bits, and a change here must keep the shape of every
+    operation; that is why the companion residual is formed on the whole
+    unconverged set whenever any Newton step is rejected, not on the
+    rejected points.
     """
     zs = np.asarray(zs, dtype=complex)
     cz = c * zs
@@ -563,22 +562,10 @@ def mp_stieltjes(c: float, z: complex) -> complex:
     raise ConvergenceError(f"no upper-half root at z = {z} (roots {roots})")
 
 
-# Iteration budget of every solve at a smoothing height epsilon (density_grid,
-# limit_cdf).  The companion map alone contracts at rate 1 - O(epsilon) inside
-# the bulk; the Newton steps take over there, and the budget is a ceiling.
+# Iteration budget of every solve at a smoothing height epsilon (limit_cdf's).
+# The companion map alone contracts at rate 1 - O(epsilon) inside the bulk;
+# the Newton steps take over there, and the budget is a ceiling.
 _SMOOTHED_MAX_ITER = 200000
-
-
-def density_grid(law: SpectralModel, xs, epsilon: float = 1e-3, tol: float = 1e-9) -> np.ndarray:
-    """Smoothed density Im m(x + i*epsilon) / pi at every abscissa of ``xs``,
-    solved in one block by ``solve_stieltjes``."""
-    if not (epsilon > 0.0):
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size == 0:
-        raise ValueError("xs must be a non-empty 1-D array")
-    m, _, _ = solve_stieltjes(law, xs + 1j * epsilon, tol=tol, max_iter=_SMOOTHED_MAX_ITER)
-    return m.imag / math.pi
 
 
 # The limit CDF's grid: smoothing height, abscissae, the margin past the

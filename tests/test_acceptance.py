@@ -51,14 +51,15 @@ from quadvar.quadform import (
     mc_variance,
 )
 from quadvar.spectral import (
+    _SMOOTHED_MAX_ITER,
     SpectralModel,
-    density_grid,
     effective_spectral_model,
     kolmogorov_distance,
     limit_cdf,
     limit_stieltjes,
     mp_stieltjes,
     sample_covariance_matrix,
+    solve_stieltjes,
     symmetric_eigenvalues,
 )
 
@@ -277,7 +278,9 @@ def test_06_esd_approaches_limit_law():
 
 
 def test_07_density_spot_value_and_mass():
-    [spot] = density_grid(SpectralModel(atoms=((1.0, 1.0),), c=1.0), [1.0], tol=1e-10)
+    square = SpectralModel(atoms=((1.0, 1.0),), c=1.0)
+    m, _, _ = solve_stieltjes(square, np.array([1.0]) + 1e-3j, 1e-10, _SMOOTHED_MAX_ITER)
+    spot = m[0].imag / math.pi
     target = math.sqrt(3.0) / (2.0 * math.pi)
     assert abs(spot - target) <= 0.005, spot
 
@@ -285,7 +288,8 @@ def test_07_density_spot_value_and_mass():
     lo = (1.0 - math.sqrt(0.5)) ** 2
     hi = (1.0 + math.sqrt(0.5)) ** 2
     xs = np.linspace(lo, hi, 240)
-    dens = density_grid(law, xs, epsilon=1e-3)
+    m, _, _ = solve_stieltjes(law, xs + 1e-3j, 1e-9, _SMOOTHED_MAX_ITER)
+    dens = m.imag / math.pi
     mass = float(np.trapezoid(dens, xs))
     assert abs(mass - 1.0) <= 0.02, mass
     _report(

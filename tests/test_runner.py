@@ -19,7 +19,7 @@ import pytest
 from oracles import lrv_mc_mse_reference, stieltjes_grid_reference
 from quadvar import runner
 from quadvar.cli import main as cli_main
-from quadvar.config import ConfigError, canonical_hash, load_config, validate
+from quadvar.config import EXPERIMENTS, ConfigError, canonical_hash, load_config, validate
 from quadvar.longrun import lrv_true
 from quadvar.runner import ResultRecord, assertions_pass, emit, run
 from quadvar.spectral import ConvergenceError, SpectralModel
@@ -120,9 +120,21 @@ def test_seed_is_mandatory():
         validate(json.dumps(raw))
 
 
-def test_tolerances_must_be_positive():
-    with pytest.raises(ConfigError, match="assert_sigmas"):
-        validate(_config(tolerances={"assert_sigmas": 0.0}))
+@pytest.mark.parametrize(
+    "key, value",
+    [("tolerances", {"assert_sigmas": 0.5}), ("out", "records.csv"), ("format", "json")],
+    ids=["tolerances", "out", "format"],
+)
+def test_thresholds_and_output_routing_are_unknown_config_keys(tmp_path, capsys, key, value):
+    """A config holds only the experiment: its thresholds are fixed and its
+    output is routed by --out and --format alone."""
+    text = _config(**{key: value})
+    with pytest.raises(ConfigError, match=f"{key}: unknown key for experiment 'quadform_var'"):
+        validate(text)
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert cli_main(["quadform_var", "--config", str(path)]) == 2
+    assert f"invalid config: {key}: unknown key" in capsys.readouterr().err
 
 
 def test_experiment_must_be_known():
@@ -178,7 +190,6 @@ def _numeric_fields(x) -> list:
         "spectral.c": (_GRID, "spectral", {"atoms": [[1.0, 1.0]], "c": x}),
         "spectral.atoms[0][0]": (_GRID, "spectral", {"atoms": [[x, 1.0]], "c": 0.5}),
         "grid.im": (_GRID, "grid", {**_GRID["grid"], "im": x}),
-        "tolerances.assert_sigmas": (_QUADFORM, "tolerances", {"assert_sigmas": x}),
         "sweep[0][1]": (_LRV, "sweep", [[100, x]]),
         "kernel.grid[1]": (_TABLE, "kernel", {**table, "grid": [0.0, x]}),
         "kernel.values[1]": (_TABLE, "kernel", {**table, "values": [1.0, x]}),
@@ -375,9 +386,9 @@ def test_hash_is_stable_under_key_reordering():
 
 
 def test_hash_ignores_float_formatting_but_not_values():
-    a = validate(_config(tolerances={"assert_sigmas": 4.0}))
-    b = validate(_config(tolerances={"assert_sigmas": 4}))
-    c = validate(_config(tolerances={"assert_sigmas": 4.5}))
+    a = validate(_config(model={"name": "gaussian_ar1", "rho": 0.5}))
+    b = validate(_config(model={"name": "gaussian_ar1", "rho": 5e-1}))
+    c = validate(_config(model={"name": "gaussian_ar1", "rho": 0.25}))
     assert a.config_hash == b.config_hash
     assert a.config_hash != c.config_hash
 
@@ -453,24 +464,25 @@ def test_stieltjes_grid_example_matches_closed_form():
     assert assertions_pass(records)
 
 
+# A 2 x 4 sample lies at Kolmogorov distance 0.284 from its limit law, past
+# the esd threshold max_ks = 0.10, so its assert_ks is 0.
+_FAILING_ESD = {
+    "experiment": "esd",
+    "seed": 1,
+    "model": {"name": "gaussian_ar1", "rho": 0.0},
+    "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
+    "sizes": [[2, 4]],
+}
+
+
 def test_failed_assertion_is_recorded_not_raised():
-    cfg = validate(
-        json.dumps(
-            {
-                "experiment": "stieltjes_grid",
-                "seed": 1,
-                "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
-                "grid": {"re_min": 1.0, "re_max": 1.0, "points": 1, "im": 1.0},
-                "tolerances": {"closed_form_atol": 1e-30},
-            }
-        )
-    )
-    records = run(cfg)
-    assert records[0].metrics["assert_closed_form"] == 0
+    records = run(validate(json.dumps(_FAILING_ESD)))
+    assert records[0].metrics["ks_distance"] > 0.10
+    assert records[0].metrics["assert_ks"] == 0
     assert not assertions_pass(records)
 
 
-def _grid_config(atoms, c, re_min, re_max, points, im, **tolerances):
+def _grid_config(atoms, c, re_min, re_max, points, im):
     return validate(
         json.dumps(
             {
@@ -478,7 +490,6 @@ def _grid_config(atoms, c, re_min, re_max, points, im, **tolerances):
                 "seed": 1,
                 "spectral": {"atoms": atoms, "c": c},
                 "grid": {"re_min": re_min, "re_max": re_max, "points": points, "im": im},
-                "tolerances": tolerances,
             }
         )
     )
@@ -546,11 +557,16 @@ def test_stieltjes_grid_makes_one_solver_call(monkeypatch):
 _AT_Z = re.compile(r"at z = (\S+)")
 
 
-def test_stieltjes_grid_budget_failure_names_the_first_failing_point(tmp_path, capsys):
+def test_stieltjes_grid_budget_failure_names_the_first_failing_point(
+    tmp_path, capsys, monkeypatch
+):
     # far left of the support every point converges within two steps; the
     # last four points, from x = -16 on, do not
+    thresholds = EXPERIMENTS["stieltjes_grid"].tolerances
+    monkeypatch.setitem(thresholds, "tol", 1e-14)
+    monkeypatch.setitem(thresholds, "max_iter", 2)
     atoms = [[1.0, 0.5], [3.0, 0.5]]
-    cfg = _grid_config(atoms, 0.5, -1000.0, 8.0, 127, 0.01, tol=1e-14, max_iter=2)
+    cfg = _grid_config(atoms, 0.5, -1000.0, 8.0, 127, 0.01)
     with pytest.raises(ConvergenceError, match="no fixed point within 2 iterations") as got:
         run(cfg)
     with pytest.raises(ConvergenceError) as want:
@@ -558,7 +574,7 @@ def test_stieltjes_grid_budget_failure_names_the_first_failing_point(tmp_path, c
     assert _AT_Z.search(str(got.value))[1] == "(-16+0.01j)"
     assert _AT_Z.search(str(got.value))[1] == _AT_Z.search(str(want.value))[1]
     path = tmp_path / "budget.json"
-    path.write_text(json.dumps(cfg.canonical))
+    path.write_text(json.dumps({k: v for k, v in cfg.canonical.items() if k != "tolerances"}))
     assert cli_main(["stieltjes_grid", "--config", str(path)]) == 1
     assert "experiment failed: no fixed point within 2 iterations at z = (-16+0.01j)" in (
         capsys.readouterr().err
@@ -620,6 +636,20 @@ def test_lrv_mse_matches_the_per_point_reference_bit_for_bit():
     for record, (n, m) in zip(records, cfg.sweep):
         want = lrv_mc_mse_reference(cfg, n, m, sigma2)
         assert record.metrics["mc_mse"].hex() == want.hex(), (n, m)
+
+
+def test_lrv_mse_kernel_failing_its_assumptions_is_exit_two(tmp_path, capsys, monkeypatch):
+    """A kernel that falls to 0.5 at 1e-4 is not continuous at zero: the config
+    is refused before any path is drawn, not after every block."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn before the kernel was checked")
+
+    monkeypatch.setattr(runner, "generate_paths", no_draws)
+    table = {"name": "tabulated", "grid": [0.0, 1e-4, 1.0], "values": [1.0, 0.5, 0.0]}
+    text = json.dumps({**_LRV, "kernel": table, "replicates": 2})
+    _refused(tmp_path, capsys, text, "kernel")
+    with pytest.raises(ConfigError, match=r"fails its assumptions: .*bounded=False"):
+        validate(text)
 
 
 def test_vector_at_the_covariance_cap_is_accepted():
@@ -753,18 +783,8 @@ def test_cli_pass_is_exit_zero(tmp_path, capsys):
 
 def test_cli_assertion_failure_is_exit_one(tmp_path, capsys):
     config = tmp_path / "fail.json"
-    config.write_text(
-        json.dumps(
-            {
-                "experiment": "stieltjes_grid",
-                "seed": 1,
-                "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
-                "grid": {"re_min": 1.0, "re_max": 1.0, "points": 1, "im": 1.0},
-                "tolerances": {"closed_form_atol": 1e-30},
-            }
-        )
-    )
-    assert cli_main(["stieltjes_grid", "--config", str(config)]) == 1
+    config.write_text(json.dumps(_FAILING_ESD))
+    assert cli_main(["esd", "--config", str(config)]) == 1
     assert "FAIL" in capsys.readouterr().out
 
 
@@ -949,12 +969,10 @@ def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, ca
     bias would sum 1e15 lags, and a path block past the doubles cap, each
     exit 2 through the parser before a path is drawn or a lag vector
     allocated, naming the config field at fault."""
-    import quadvar.models
-
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the arguments were checked")
 
-    monkeypatch.setattr(quadvar.models, "generate_paths", no_draws)
+    monkeypatch.setattr(runner, "generate_paths", no_draws)
     for args, message in (
         (
             ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"],
@@ -978,3 +996,21 @@ def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, ca
         assert exc.value.code == 2, args
         assert message in capsys.readouterr().err, args
         assert peak <= 2**20, args
+
+
+def test_bandwidth_tradeoff_prints_the_records_of_run(monkeypatch, capsys):
+    args = ["--n", "200", "--replicates", "2", "--bandwidths", "2", "8", "--seed", "4"]
+    monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__")
+    assert exc.value.code == 0
+    lines = capsys.readouterr().out.splitlines()
+    # the script's defaults are _lrv_config's model and kernel
+    rows = [r.metrics for r in run(_lrv_config([[200, 2.0], [200, 8.0]], 2))]
+    assert lines[0] == f"true long-run variance: {rows[0]['sigma2_true']:.6f}"
+    assert lines[1].split() == ["m", "mc_mse", "var_bound", "sq_bias"]
+    assert len(lines) == 2 + len(rows)
+    keys = ("m", "mc_mse", "variance_bound_c_free", "squared_bias_leading")
+    for line, row in zip(lines[2:], rows):
+        printed = [float(cell) for cell in line.split()]
+        assert printed == [pytest.approx(row[key], abs=5e-7) for key in keys], line

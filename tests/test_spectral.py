@@ -34,7 +34,6 @@ from quadvar.spectral import (
     _sturm_levels,
     _szego_sums,
     _tridiagonalise,
-    density_grid,
     effective_spectral_model,
     kolmogorov_distance,
     limit_cdf,
@@ -514,22 +513,29 @@ def test_limit_stieltjes_recovers_from_spurious_damped_root():
 # --------------------------------------------------------------------- density
 
 
+def _density(law, xs, epsilon, tol):
+    """Smoothed density Im m(x + i epsilon) / pi at every x, in one block."""
+    zs = np.asarray(xs, dtype=float) + 1j * epsilon
+    m, _, _ = solve_stieltjes(law, zs, tol=tol, max_iter=spectral._SMOOTHED_MAX_ITER)
+    return m.imag / math.pi
+
+
 def test_density_square_case_spot_value():
-    [got] = density_grid(SpectralModel(atoms=((1.0, 1.0),), c=1.0), [1.0], tol=1e-10)
+    [got] = _density(SpectralModel(atoms=((1.0, 1.0),), c=1.0), [1.0], 1e-3, 1e-10)
     assert got == pytest.approx(np.sqrt(3.0) / (2.0 * np.pi), abs=5e-3)
 
 
 def test_density_vanishes_off_support():
     law = UNIT
     # support of the quarter-circle-type law at c=0.5 is [(1-sqrt(.5))^2, (1+sqrt(.5))^2]
-    assert density_grid(law, [4.0], tol=1e-10)[0] <= 2e-3
-    assert density_grid(law, [-1.0], tol=1e-10)[0] <= 2e-3
+    assert _density(law, [4.0], 1e-3, 1e-10)[0] <= 2e-3
+    assert _density(law, [-1.0], 1e-3, 1e-10)[0] <= 2e-3
 
 
 def test_density_grid_matches_pointwise_solves():
     xs = np.array([0.5, 1.0, 1.5])
-    grid = density_grid(UNIT, xs, epsilon=1e-2, tol=1e-9)
-    single = [density_grid(UNIT, [x], epsilon=1e-2, tol=1e-9)[0] for x in xs]
+    grid = _density(UNIT, xs, 1e-2, 1e-9)
+    single = [_density(UNIT, [x], 1e-2, 1e-9)[0] for x in xs]
     assert np.allclose(grid, single, atol=1e-9)
 
 
@@ -545,7 +551,7 @@ def test_density_grid_raises_on_a_converged_point_off_the_branch(monkeypatch):
 
     monkeypatch.setattr(spectral, "_solve_points", off_branch)
     with pytest.raises(ConvergenceError, match=r"branch failure at z = \(1\+0\.01j\)"):
-        density_grid(UNIT, np.array([0.5, 1.0, 1.5]), epsilon=1e-2)
+        _density(UNIT, np.array([0.5, 1.0, 1.5]), 1e-2, 1e-9)
 
 
 # ------------------------------------------------------------------- limit CDF
