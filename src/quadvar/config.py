@@ -46,8 +46,9 @@ _MAX_SEED = (1 << 64) - 1
 # Doubles one array built from a config size may hold: p * p (a matrix, the
 # covariance of a fourth_moment vector, or an esd covariance), p * n (an esd
 # sample), atoms * points (a grid), replicates * p or replicates * max n (a
-# Monte Carlo path block), and the lags the exact bias of one lrv_mse sweep
-# point sums.
+# Monte Carlo path block, counted whole although the runs draw it a chunk of
+# rows at a time), and the lags the exact bias of one lrv_mse sweep point
+# sums.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24

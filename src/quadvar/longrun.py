@@ -317,36 +317,73 @@ def check_assumptions(kernel: Kernel) -> KernelAssumptions:
     )
 
 
+def _lag_weights(kernel: Kernel, m: float, n: int) -> np.ndarray:
+    """K(j/m) at the lags j = 1..J an estimate from a length-n path reads:
+    J = n - 1, cut at the kernel's support radius times m."""
+    if not (m > 0.0):
+        raise ValueError(f"bandwidth m must be positive, got {m}")
+    j_max = n - 1
+    if math.isfinite(kernel.support_radius):
+        j_max = min(j_max, int(math.floor(kernel.support_radius * m)))
+    return kernel_eval(kernel, np.arange(1, j_max + 1) / m)
+
+
+def _fft_size(n: int, lags: int) -> int:
+    """2^ceil(log2(n + lags)): the shortest power-of-two transform whose
+    circular lags 0..lags of a length-n row do not wrap around."""
+    return 1 << (n + lags - 1).bit_length()
+
+
+def _lag_sums(rows: np.ndarray, lags: int) -> np.ndarray:
+    """sum_t X_t X_{t+j} for j = 0..lags, one row of sums per row of a
+    (count, n) block, from one rfft and irfft of |F|^2 per row.
+
+    numpy's FFT transforms each row alone and calls no BLAS, so a row's sums
+    have the same bits whatever block it sits in and at any thread count.
+    """
+    size = _fft_size(rows.shape[1], lags)
+    f = np.fft.rfft(rows, size)
+    # |F|^2 in place, so the inverse reads a complex array with no cast
+    # copy; copying the head of the inverse lets the rest of it be freed
+    re, im = f.real, f.imag
+    np.multiply(re, re, out=re)
+    np.multiply(im, im, out=im)
+    np.add(re, im, out=re)
+    im[...] = 0.0
+    return np.fft.irfft(f, size)[:, : lags + 1].copy()
+
+
+def _estimates(sums: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """(gamma_0 + 2 sum_j w_j gamma_j) / n for each row of lag sums gamma,
+    with j = 1..weights.size; the lag sum is a ufunc reduction."""
+    return (sums[:, 0] + 2.0 * (sums[:, 1 : weights.size + 1] * weights).sum(axis=1)) / n
+
+
 def estimate_lrv(path, kernel: Kernel, m: float) -> float:
     """sigma2_hat = (1/n) sum_{s,t} K(|s - t|/m) X_s X_t via the lag form,
     for one path X_1..X_n given as a non-empty 1-D array.
 
-    Cost is O(n * lags in the kernel support): the double sum collapses to
-    n^-1 (sum X_t^2 + 2 sum_j K(j/m) sum_t X_t X_{t+j}).
+    The double sum collapses to n^-1 (gamma_0 + 2 sum_j K(j/m) gamma_j) with
+    gamma_j = sum_t X_t X_{t+j}, and every gamma_j comes from one FFT of
+    the zero-padded path: O(N log N) with N < 2 (n + lags), for any kernel.
     """
-    if not (m > 0.0):
-        raise ValueError(f"bandwidth m must be positive, got {m}")
     x = np.asarray(path, dtype=float)
     if x.ndim != 1 or x.size == 0:
         raise ValueError("path must be a non-empty 1-D array")
-    n = x.size
-    j_max = n - 1
-    if math.isfinite(kernel.support_radius):
-        j_max = min(j_max, int(math.floor(kernel.support_radius * m)))
-    total = float(x @ x)
-    if j_max >= 1:
-        weights = kernel_eval(kernel, np.arange(1, j_max + 1) / m)
-        for j, w in enumerate(weights.tolist(), 1):
-            if w != 0.0:
-                total += 2.0 * w * float(x[:-j] @ x[j:])
-    return total / n
+    weights = _lag_weights(kernel, m, x.size)
+    return float(_estimates(_lag_sums(x[None], weights.size), weights, x.size)[0])
 
 
 def mc_mse(paths, kernel: Kernel, m: float, sigma2: float) -> float:
     """Monte Carlo MSE of ``estimate_lrv`` against ``sigma2``: the mean of
-    (sigma2_hat - sigma2)^2 over the rows of a (replicates, n) block, one
-    ``estimate_lrv`` call per row."""
-    values = np.array([estimate_lrv(row, kernel, m) for row in paths])
+    (sigma2_hat - sigma2)^2 over the rows of a (replicates, n) block, each
+    row's estimate the bits of ``estimate_lrv`` on it."""
+    block = np.asarray(paths, dtype=float)
+    if block.ndim != 2 or block.size == 0:
+        raise ValueError("paths must be a non-empty 2-D array")
+    n = block.shape[1]
+    weights = _lag_weights(kernel, m, n)
+    values = _estimates(_lag_sums(block, weights.size), weights, n)
     return float(np.mean((values - sigma2) ** 2))
 
 

@@ -161,6 +161,24 @@ def enumerate_sign_paths(
     return _signs_to_paths(model, (idx[:, None] >> np.arange(width)) & 1)
 
 
+# Doubles one chunk of Monte Carlo rows spans: the callers that average
+# over many rows draw them ``_row_chunks`` at a time, never as one block.
+# On the benchmark's lrv_mse sweep (100 rows of up to 32 000 values, 2 vCPU
+# Xeon, one BLAS thread, fresh processes, median of 8) budgets of 2**16,
+# 2**17, 2**18 and 2**19 took 0.375, 0.330, 0.309 and 0.292 s against
+# 0.375 s for whole blocks, and peaked 5.4, 6.9, 10.4 and 18.3 MiB above
+# the baseline against 26.8 MiB.  From 2**18 on, a chunk's two FFT arrays
+# outgrow a whole block of 20 rows of 20 000 values.
+_CHUNK_DOUBLES = 2**17
+
+
+def _row_chunks(count: int, width: int) -> list[range]:
+    """Rows 0..count-1 as consecutive ranges of at most
+    ``_CHUNK_DOUBLES // width`` rows each, and at least one row."""
+    step = max(1, _CHUNK_DOUBLES // width)
+    return [range(first, min(first + step, count)) for first in range(0, count, step)]
+
+
 # Values one step of the segmented AR(1) scan advances at most.  A step
 # touches one cache line per value, so fewer values per step cost more loop
 # steps, and more spill the lines a step revisits out of cache; on 100 x
@@ -355,9 +373,9 @@ def _philox_tile(seed: int, rows: range, blocks: range) -> tuple[np.ndarray, ...
     return v0, v1, v2, v3
 
 
-def _philox_words(seed: int, rows: int, n_words: int) -> np.ndarray:
-    """The first ``n_words`` words of numpy's ``Philox(key=[seed, r])`` for
-    r < rows, as a (rows, n_words) uint64 array, keyed a tile of at most
+def _philox_words(seed: int, rows: int, n_words: int, first: int = 0) -> np.ndarray:
+    """The first ``n_words`` words of numpy's ``Philox(key=[seed, first + r])``
+    for r < rows, as a (rows, n_words) uint64 array, keyed a tile of at most
     ``_PHILOX_TILE`` (row, block) pairs at a time.
     """
     blocks = -(-n_words // 4)
@@ -365,25 +383,31 @@ def _philox_words(seed: int, rows: int, n_words: int) -> np.ndarray:
     tile_rows = _PHILOX_TILE // tile_blocks
     words = np.empty((rows, n_words), dtype=np.uint64)
     for r in range(0, rows, tile_rows):
-        tile_r = range(r, min(r + tile_rows, rows))
+        tile_r = range(first + r, first + min(r + tile_rows, rows))
         for b in range(0, blocks, tile_blocks):
             tile_b = range(b, min(b + tile_blocks, blocks))
             for i, lane in enumerate(_philox_tile(seed, tile_r, tile_b)):
                 # word 4 b + i of a row is lane i of block b
-                out = words[r : tile_r.stop, 4 * b + i : 4 * tile_b.stop : 4]
+                out = words[r : r + len(tile_r), 4 * b + i : 4 * tile_b.stop : 4]
                 out[...] = lane[:, : out.shape[1]]
     return words
 
 
-def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.ndarray:
+def generate_paths(
+    model: CovarianceModel, p: int, seed: int, count: int, first: int = 0
+) -> np.ndarray:
     """Sample `count` independent paths as a C-order (count, p) array.
 
-    Row r is drawn from stream (seed, r) and equals what ``path_rng(seed, r)``
-    yields through ``standard_normal`` (Gaussian models) or
-    ``integers(0, 2)`` (sign models) followed by the model's transform.
-    Sign blocks are keyed all at once by ``_philox_words``.  Gaussian blocks
-    are drawn from one Philox generator that each row re-keys to (seed, r)
-    with a fresh counter, instead of building a new generator.
+    Row r is drawn from stream (seed, first + r) and equals what
+    ``path_rng(seed, first + r)`` yields through ``standard_normal``
+    (Gaussian models) or ``integers(0, 2)`` (sign models) followed by the
+    model's transform.  So rows first..first + count - 1 of a block can be
+    drawn as a chunk of their own, with the same bits, and a length-p path
+    is the prefix of every longer path of its stream: each transform reads
+    a row's draws in order.  Sign blocks are keyed all at once by
+    ``_philox_words``.  Gaussian blocks are drawn from one Philox generator
+    that each row re-keys to its stream with a fresh counter, instead of
+    building a new generator.
 
     The AR(1) recursion x_t = fl(fl(rho x_{t-1}) + w_t) gives the bits of a
     loop over the columns without one Python step per column.  Each row is
@@ -401,12 +425,14 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     """
     if p < 1 or count < 1:
         raise ValueError("p and count must be >= 1")
+    if first < 0:
+        raise ValueError(f"first must be >= 0, got {first}")
     width = _innovation_width(model, p)
     if isinstance(model, (RademacherIID, RademacherProductMDS)):
         # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
         # draw, low half first, and keeps the top bit of that half: bits 31
         # and 63 of each word, in that order.
-        words = _philox_words(seed, count, (width + 1) // 2)
+        words = _philox_words(seed, count, (width + 1) // 2, first)
         bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
         bits[:, 0::2] = (words >> 31) & 1
         bits[:, 1::2] = words >> 63
@@ -430,7 +456,7 @@ def generate_paths(model: CovarianceModel, p: int, seed: int, count: int) -> np.
     gen = np.random.Generator(bitgen)
     block = np.empty((count, width))
     for r in range(count):
-        rekey(r)
+        rekey(first + r)
         gen.standard_normal(out=block[r])
     if isinstance(model, GaussianAR1):
         # x_t = rho * x_{t-1} + w_t, with w_t = scale * z_t formed first in

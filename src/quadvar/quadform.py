@@ -25,6 +25,7 @@ import numpy as np
 from .models import (
     CovarianceModel,
     DependenceProfile,
+    _row_chunks,
     covariance_matrix,
     enumerate_sign_paths,
     excess_kurtosis,
@@ -130,8 +131,13 @@ class VarianceEstimate:
 
 
 def _quad_values(model: CovarianceModel, A: np.ndarray, replicates: int, seed: int) -> np.ndarray:
-    paths = generate_paths(model, A.shape[0], seed, replicates)
-    return np.einsum("ri,ri->r", paths @ A, paths)
+    """x'Ax for the paths of streams (seed, 0..replicates-1), drawn a chunk
+    of rows at a time."""
+    q = np.empty(replicates)
+    for part in _row_chunks(replicates, A.shape[0]):
+        paths = generate_paths(model, A.shape[0], seed, len(part), first=part.start)
+        q[part.start : part.stop] = np.einsum("ri,ri->r", paths @ A, paths)
+    return q
 
 
 def mc_variance(model: CovarianceModel, A, replicates: int, seed: int) -> VarianceEstimate:
@@ -165,7 +171,10 @@ def mc_fourth_moment(model: CovarianceModel, a, replicates: int, seed: int) -> t
     a = _as_vector(a)
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
-    v = (generate_paths(model, a.size, seed, replicates) @ a) ** 4
+    v = np.empty(replicates)
+    for part in _row_chunks(replicates, a.size):
+        paths = generate_paths(model, a.size, seed, len(part), first=part.start)
+        v[part.start : part.stop] = (paths @ a) ** 4
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(replicates))
 
 

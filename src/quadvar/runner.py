@@ -15,12 +15,15 @@ import numpy as np
 
 from .config import ExperimentConfig
 from .longrun import (
+    _estimates,
+    _fft_size,
+    _lag_sums,
+    _lag_weights,
     check_assumptions,
     lrv_true,
-    mc_mse,
     mse_bound,
 )
-from .models import dependence_profile, generate_paths
+from .models import _row_chunks, dependence_profile, generate_paths
 from .quadform import (
     exact_fourth_moment,
     exact_variance,
@@ -174,32 +177,32 @@ def _run_stieltjes_grid(cfg: ExperimentConfig) -> list[dict]:
     return rows
 
 
-def _lrv_mc_mses(cfg: ExperimentConfig, n: int, bandwidths, sigma2: float) -> dict:
-    """Monte Carlo MSE of the estimator at each bandwidth of one n, keyed (n, m).
-
-    Every bandwidth reads the one (replicates, n) block drawn here: row r is
-    stream (seed, r) whatever m is. The block is local, so it is freed before
-    the next n draws its own and a sweep holds one block at a time.
-    """
-    paths = generate_paths(cfg.model, n, cfg.seed, cfg.replicates)
-    return {(n, m): mc_mse(paths, cfg.kernel, m, sigma2) for m in bandwidths}
-
-
 def _run_lrv_mse(cfg: ExperimentConfig) -> list[dict]:
     model, kernel = cfg.model, cfg.kernel
     profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     cap = cfg.tolerances["ratio_cap"]
     slack = cfg.tolerances["slack_over_n"]
-    bandwidths: dict[int, dict[float, None]] = {}  # the distinct m of each n, in config order
-    for n, m in cfg.sweep:
-        bandwidths.setdefault(n, {})[m] = None
-    mc_mses = {}
-    for n, ms in bandwidths.items():
-        mc_mses.update(_lrv_mc_mses(cfg, n, ms, sigma2))
+    # Each distinct (n, m) once, with its weights; the bandwidths of one n
+    # and one transform size share one set of lag sums.
+    weights = {(n, m): _lag_weights(kernel, m, n) for n, m in cfg.sweep}
+    groups: dict[tuple[int, int], list[float]] = {}
+    for (n, m), w in weights.items():
+        groups.setdefault((n, _fft_size(n, w.size)), []).append(m)
+    longest = max(n for n, _ in groups)
+    values = {key: np.empty(cfg.replicates) for key in weights}
+    # Row r is stream (seed, r) whatever n and m are, and a length-n path is
+    # the prefix of the longest one, so each chunk of rows is drawn once, at
+    # the longest n, and every point reads its prefix.
+    for part in _row_chunks(cfg.replicates, max(size for _, size in groups)):
+        chunk = generate_paths(model, longest, cfg.seed, len(part), first=part.start)
+        for (n, _), ms in groups.items():
+            sums = _lag_sums(chunk[:, :n], max(weights[n, m].size for m in ms))
+            for m in ms:
+                values[n, m][part.start : part.stop] = _estimates(sums, weights[n, m], n)
     rows = []
     for n, m in cfg.sweep:
-        mse = mc_mses[n, m]
+        mse = float(np.mean((values[n, m] - sigma2) ** 2))
         report = mse_bound(profile, model, kernel, m, n)
         budget = report.variance_bound_c_free + report.squared_bias_leading
         rows.append(

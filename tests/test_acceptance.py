@@ -508,6 +508,16 @@ CROSS_THREAD_CONFIGS = {
         "spectral": {"atoms": [[1.0, 1.0]], "c": 0.5},
         "sizes": [[60, 120]],
     },
+    # the lag sums of long lrv_mse paths, which BLAS dot products split
+    # across threads past 10 000 values
+    "lrv_mse": {
+        "experiment": "lrv_mse",
+        "seed": 3,
+        "model": {"name": "gaussian_ar1", "rho": 0.5},
+        "kernel": {"name": "bartlett"},
+        "sweep": [[16000, 8.0], [16000, 64.0]],
+        "replicates": 4,
+    },
 }
 
 

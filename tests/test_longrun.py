@@ -11,6 +11,7 @@ from oracles import cumulant_sum, fourth_cumulant
 from quadvar.longrun import (
     Kernel,
     _autocov_tail_sum,
+    _lag_sums,
     check_assumptions,
     estimate_lrv,
     exact_bias,
@@ -19,6 +20,7 @@ from quadvar.longrun import (
     kernel_eval,
     kernel_kq,
     lrv_true,
+    mc_mse,
     mse_bound,
     variance_bound_c_free,
 )
@@ -198,6 +200,25 @@ def test_estimate_lrv_matches_naive_sum_for_every_kernel():
     for kernel in NAMED_KERNELS + [table]:
         est = estimate_lrv(path, kernel, 12.0)
         assert est == pytest.approx(_naive_lrv(path, kernel, 12.0), rel=1e-12)
+
+
+# n + lags at, and one past, a power of two, and every lag of a path
+@pytest.mark.parametrize("n, lags", [(1, 0), (2, 1), (8, 0), (9, 0), (100, 28), (100, 29), (100, 99)])
+def test_lag_sums_match_direct_sums_at_every_lag(n, lags):
+    rows = generate_paths(GaussianAR1(rho=0.5), n, seed=24, count=3)
+    got = _lag_sums(rows, lags)
+    assert got.shape == (3, lags + 1)
+    for sums, row in zip(got, rows):
+        want = [math.fsum(row[: n - j] * row[j:]) for j in range(lags + 1)]
+        assert np.allclose(sums, want, rtol=0.0, atol=1e-12 * want[0])
+
+
+@pytest.mark.parametrize("kernel", NAMED_KERNELS, ids=lambda k: k.variant)
+def test_mc_mse_is_the_mean_over_the_rows_of_estimate_lrv(kernel):
+    paths = generate_paths(GaussianAR1(rho=0.5), 300, seed=23, count=9)
+    values = np.array([estimate_lrv(row, kernel, 7.0) for row in paths])
+    want = float(np.mean((values - 3.0) ** 2))
+    assert mc_mse(paths, kernel, 7.0, 3.0).hex() == want.hex()
 
 
 def test_estimate_lrv_rejects_bad_paths_and_bandwidths():

@@ -251,22 +251,59 @@ def test_generate_paths_matches_per_row_generators(model, seed):
             assert _same_bits(_oracle_row(model, p, seed, r), block[r])
 
 
+# Every model family, with AR(1) at a moderate, a negative and a near-unit rho.
+CONTRACT_MODELS = [
+    GaussianAR1(rho=0.5),
+    GaussianAR1(rho=-0.9),
+    GaussianAR1(rho=0.99),
+    GaussianMA(coeffs=(0.6, 0.3, 0.1)),
+    RademacherIID(),
+    RademacherProductMDS(),
+]
+# p = 1 and 2 give one-word sign rows, 9 and 10 both parities of every
+# model's innovation width, and 20 000 several segments of the AR(1) scan
+# (one at rho = 0.99, whose segments are longer).
+CONTRACT_WIDTHS = (1, 2, 9, 10, 130, 20_000)
+
+
+@pytest.mark.parametrize("model", CONTRACT_MODELS, ids=repr)
+def test_chunks_drawn_from_an_offset_are_rows_of_the_whole_block(model):
+    for p in CONTRACT_WIDTHS:
+        block = generate_paths(model, p, 6, 11)
+        for first, stop in ((0, 4), (4, 5), (5, 11), (3, 10)):
+            chunk = generate_paths(model, p, 6, stop - first, first=first)
+            assert _same_bits(block[first:stop], chunk), (p, first)
+
+
+@pytest.mark.parametrize("model", CONTRACT_MODELS, ids=repr)
+def test_a_path_is_the_prefix_of_every_longer_path_of_its_stream(model):
+    longest = generate_paths(model, CONTRACT_WIDTHS[-1], 6, 5, first=3)
+    for p in CONTRACT_WIDTHS[:-1] + (19_999,):
+        assert _same_bits(longest[:, :p], generate_paths(model, p, 6, 5, first=3)), p
+
+
+def test_generate_paths_rejects_a_negative_first_row():
+    with pytest.raises(ValueError, match="first"):
+        generate_paths(GaussianAR1(rho=0.5), 4, 1, 2, first=-1)
+
+
 @given(
     seed=st.sampled_from([0, 2**63, 2**64 - 1]),
     rows=st.integers(min_value=1, max_value=45),
     n_words=st.integers(min_value=1, max_value=70),
     tile=st.sampled_from([5, 16, models._PHILOX_TILE]),
+    first=st.sampled_from([0, 1, 7, 2**40]),
 )
 @settings(max_examples=60, deadline=None)
 @pytest.mark.filterwarnings("error")
-def test_philox_words_match_numpy_philox(seed, rows, n_words, tile):
+def test_philox_words_match_numpy_philox(seed, rows, n_words, tile, first):
     # small tiles cut a block across its rows and across each row's blocks
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(models, "_PHILOX_TILE", tile)
-        words = models._philox_words(seed, rows, n_words)
+        words = models._philox_words(seed, rows, n_words, first)
     assert words.dtype == np.uint64 and words.shape == (rows, n_words)
     for r in range(rows):
-        key = np.array([seed, r], dtype=np.uint64)
+        key = np.array([seed, first + r], dtype=np.uint64)
         assert np.array_equal(words[r], np.random.Philox(key=key).random_raw(n_words))
 
 

@@ -204,6 +204,16 @@ def test_mc_variance_matches_numpy_var_on_the_same_paths():
     assert est.mean == pytest.approx(np.mean(q), rel=1e-12)
 
 
+def test_mc_fourth_moment_matches_numpy_on_the_same_paths():
+    # 20 000 rows of 8 values are drawn in two chunks
+    model = GaussianAR1(rho=0.4)
+    a = np.linspace(-1.0, 1.0, 8)
+    v = (generate_paths(model, 8, 13, 20000) @ a) ** 4
+    mean, se = mc_fourth_moment(model, a, 20000, seed=13)
+    assert mean == pytest.approx(v.mean(), rel=1e-12)
+    assert se == pytest.approx(v.std(ddof=1) / 20000**0.5, rel=1e-12)
+
+
 def test_mc_variance_tracks_exact_gaussian():
     model = GaussianAR1(rho=0.5)
     A = gaussian_test_matrix(8, seed=1)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import lrv_mc_mse_reference, stieltjes_grid_reference
-from quadvar import runner
+from quadvar import models, runner
 from quadvar.cli import main as cli_main
 from quadvar.config import EXPERIMENTS, ConfigError, canonical_hash, load_config, validate
 from quadvar.longrun import lrv_true
@@ -581,14 +581,14 @@ def test_stieltjes_grid_budget_failure_names_the_first_failing_point(
     )
 
 
-def _lrv_config(sweep, replicates):
+def _lrv_config(sweep, replicates, kernel="bartlett"):
     return validate(
         json.dumps(
             {
                 "experiment": "lrv_mse",
                 "seed": 4,
                 "model": {"name": "gaussian_ar1", "rho": 0.5},
-                "kernel": {"name": "bartlett"},
+                "kernel": {"name": kernel},
                 "sweep": sweep,
                 "replicates": replicates,
             }
@@ -609,10 +609,25 @@ def test_lrv_mse_sweep_holds_one_path_block():
         finally:
             tracemalloc.stop()
         block = 8 * 20 * 20_000
-        assert peak <= block + 2**20, sweep
+        assert peak <= block, sweep
 
 
-def test_lrv_mse_draws_one_block_per_distinct_n(monkeypatch):
+def test_lrv_mse_sweep_holds_under_a_third_of_one_block():
+    # the benchmark's sweep shape: the rows are drawn and transformed a chunk
+    # at a time, so no (replicates, n) block is ever held
+    sweep = [[2000, 12.6], [8000, 20.0]] + [[32_000, m] for m in (2.0, 8.0, 32.0, 128.0)]
+    cfg = _lrv_config(sweep, 100)
+    run(cfg)  # numpy's lazy set-up and the kernel's cached values are not counted
+    tracemalloc.start()
+    try:
+        run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 100 * 32_000 / 3
+
+
+def test_lrv_mse_draws_each_row_once_at_the_largest_n(monkeypatch):
     calls = []
     draw = runner.generate_paths
 
@@ -621,9 +636,41 @@ def test_lrv_mse_draws_one_block_per_distinct_n(monkeypatch):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(runner, "generate_paths", recording)
+    # n = 600 with 4 lags takes a 1024-point transform: two rows a chunk
+    monkeypatch.setattr(models, "_CHUNK_DOUBLES", 2048)
     cfg = _lrv_config([[300, 2.0], [600, 4.0], [300, 8.0]], 5)
     run(cfg)
-    assert calls == [((cfg.model, n, cfg.seed, 5), {}) for n in (300, 600)]
+    assert [args[:3] for args, _ in calls] == [(cfg.model, 600, cfg.seed)] * 3
+    rows = [range(kwargs["first"], kwargs["first"] + args[3]) for args, kwargs in calls]
+    assert rows == [range(0, 2), range(2, 4), range(4, 5)]
+
+
+@pytest.mark.parametrize("budget", [1, 2048])
+@pytest.mark.parametrize("kernel", ["bartlett", "quadratic_spectral"])
+def test_lrv_mse_chunks_match_the_per_point_reference_bit_for_bit(monkeypatch, budget, kernel):
+    # one row a chunk, or a few; Bartlett at n = 600 puts m = 2 (1024
+    # points) and m = 450 (2048 points) in two transform sizes, and QS reads
+    # every lag of every n
+    monkeypatch.setattr(models, "_CHUNK_DOUBLES", budget)
+    cfg = _lrv_config([[300, 2.0], [600, 450.0], [600, 2.0], [300, 8.0]], 7, kernel)
+    sigma2 = lrv_true(cfg.model)
+    for record, (n, m) in zip(run(cfg), cfg.sweep):
+        want = lrv_mc_mse_reference(cfg, n, m, sigma2)
+        assert record.metrics["mc_mse"].hex() == want.hex(), (n, m)
+
+
+def test_spectral_experiments_do_not_import_numpy_fft():
+    script = (
+        "import sys\n"
+        "from quadvar.config import load_config\n"
+        "from quadvar.runner import run\n"
+        "for name in ('esd.json', 'esd_ar1.json', 'stieltjes_grid.json'):\n"
+        f"    run(load_config({str(REPO / 'configs')!r} + '/' + name))\n"
+        "assert 'numpy.fft' not in sys.modules\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def test_lrv_mse_matches_the_per_point_reference_bit_for_bit():
