@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .longrun import Kernel, _leading_stop, check_assumptions
+from .longrun import Kernel, _fft_size, _lag_count, _leading_stop, check_assumptions
 from .models import (
     CovarianceModel,
     GaussianAR1,
@@ -45,10 +45,11 @@ __all__ = [
 _MAX_SEED = (1 << 64) - 1
 # Doubles one array built from a config size may hold: p * p (a matrix, the
 # covariance of a fourth_moment vector, or an esd covariance), p * n (an esd
-# sample), atoms * points (a grid), replicates * p or replicates * max n (a
-# Monte Carlo path block, counted whole although the runs draw it a chunk of
-# rows at a time), and the lags the exact bias of one lrv_mse sweep point
-# sums.
+# sample), atoms * points (a grid), the per-row values of a Monte Carlo run
+# (replicates, or replicates * distinct sweep points for lrv_mse), one row
+# of an lrv_mse chunk (the sweep's largest FFT size), and the lags the exact
+# bias of one lrv_mse sweep point sums.  A Monte Carlo run never holds its
+# whole replicates x width block: it draws a chunk of rows at a time.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -489,14 +490,16 @@ def validate(
         report = check_assumptions(kwargs["kernel"])
         if not report.all_pass:
             raise ConfigError(f"kernel: fails its assumptions: {report}")
-        longest = max(n for n, _ in kwargs["sweep"])
-        _check_doubles(replicates * longest, "replicates", "replicates x max n")
+        points = len(set(kwargs["sweep"]))
+        _check_doubles(replicates * points, "replicates", "replicates x sweep points")
         for i, (n, m) in enumerate(kwargs["sweep"]):
+            size = _fft_size(n, _lag_count(kwargs["kernel"], m, n))
+            _check_doubles(size, f"sweep[{i}]", "FFT size")
             lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
             _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
     elif "replicates" in spec.optional:
-        p = len(kwargs["matrix"] if experiment == "quadform_var" else kwargs["vector"])
-        _check_doubles(replicates * p, "replicates", "replicates x p")
+        # a row's p is capped above, by the p x p matrix or covariance
+        _check_doubles(replicates, "replicates", "replicates")
 
     out = overrides.get("out")
     out = None if out is None else str(out)

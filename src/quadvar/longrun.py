@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -317,15 +318,19 @@ def check_assumptions(kernel: Kernel) -> KernelAssumptions:
     )
 
 
-def _lag_weights(kernel: Kernel, m: float, n: int) -> np.ndarray:
-    """K(j/m) at the lags j = 1..J an estimate from a length-n path reads:
-    J = n - 1, cut at the kernel's support radius times m."""
+def _lag_count(kernel: Kernel, m: float, n: int) -> int:
+    """The lags J an estimate from a length-n path reads: n - 1, cut at the
+    kernel's support radius times m."""
     if not (m > 0.0):
         raise ValueError(f"bandwidth m must be positive, got {m}")
-    j_max = n - 1
     if math.isfinite(kernel.support_radius):
-        j_max = min(j_max, int(math.floor(kernel.support_radius * m)))
-    return kernel_eval(kernel, np.arange(1, j_max + 1) / m)
+        return min(n - 1, int(math.floor(kernel.support_radius * m)))
+    return n - 1
+
+
+def _lag_weights(kernel: Kernel, m: float, n: int) -> np.ndarray:
+    """K(j/m) at the lags j = 1..``_lag_count(kernel, m, n)``."""
+    return kernel_eval(kernel, np.arange(1, _lag_count(kernel, m, n) + 1) / m)
 
 
 def _fft_size(n: int, lags: int) -> int:
@@ -334,23 +339,38 @@ def _fft_size(n: int, lags: int) -> int:
     return 1 << (n + lags - 1).bit_length()
 
 
-def _lag_sums(rows: np.ndarray, lags: int) -> np.ndarray:
+def _fft_buffers(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The spectrum and the inverse of one row of a size-point transform."""
+    return np.empty(size // 2 + 1, dtype=complex), np.empty(size)
+
+
+def _lag_sums(
+    rows: np.ndarray, lags: int, buffers: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
     """sum_t X_t X_{t+j} for j = 0..lags, one row of sums per row of a
     (count, n) block, from one rfft and irfft of |F|^2 per row.
 
-    numpy's FFT transforms each row alone and calls no BLAS, so a row's sums
-    have the same bits whatever block it sits in and at any thread count.
+    The rows are transformed one at a time into ``buffers`` (new ones from
+    ``_fft_buffers`` if None), which a caller that transforms many blocks
+    of one FFT size passes each time, so that no array of the transform's
+    size is allocated per block.  numpy's FFT transforms each row alone and
+    calls no BLAS, so a row's sums have the same bits whatever block it sits
+    in and at any thread count.
     """
     size = _fft_size(rows.shape[1], lags)
-    f = np.fft.rfft(rows, size)
-    # |F|^2 in place, so the inverse reads a complex array with no cast
-    # copy; copying the head of the inverse lets the rest of it be freed
-    re, im = f.real, f.imag
-    np.multiply(re, re, out=re)
-    np.multiply(im, im, out=im)
-    np.add(re, im, out=re)
-    im[...] = 0.0
-    return np.fft.irfft(f, size)[:, : lags + 1].copy()
+    spectrum, inverse = _fft_buffers(size) if buffers is None else buffers
+    sums = np.empty((rows.shape[0], lags + 1))
+    re, im = spectrum.real, spectrum.imag
+    for row, out in zip(rows, sums):
+        np.fft.rfft(row, size, out=spectrum)
+        # |F|^2 in place, so the inverse reads a complex array with no cast copy
+        np.multiply(re, re, out=re)
+        np.multiply(im, im, out=im)
+        np.add(re, im, out=re)
+        im[...] = 0.0
+        np.fft.irfft(spectrum, size, out=inverse)
+        out[...] = inverse[: lags + 1]
+    return sums
 
 
 def _estimates(sums: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
@@ -468,13 +488,26 @@ def exact_bias(
     is exact for the bundled models.  Both sums read one set of lag vectors,
     the exact one its first n - 1 entries.
     """
+    _check_point(m, n)
+    cov = autocovariance(model, np.arange(1, _leading_stop(model, kernel, m, n) + 1))
+    return _exact_bias(model, kernel, m, n, cov)
+
+
+def _check_point(m: float, n: int) -> None:
     if not (m > 0.0):
         raise ValueError(f"bandwidth m must be positive, got {m}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+
+
+def _exact_bias(
+    model: CovarianceModel, kernel: Kernel, m: float, n: int, cov: np.ndarray
+) -> BiasDecomposition:
+    """``exact_bias`` from C(1..J), J at least the point's ``_leading_stop``;
+    the points of one n share one such vector."""
     stop = _leading_stop(model, kernel, m, n)  # >= n - 1
+    cov = cov[:stop]
     js = np.arange(1, stop + 1)
-    cov = autocovariance(model, js)
     weights = kernel_eval(kernel, js / m)
     head = n - 1
     triangular = weights[:head] * (1.0 - js[:head] / n)
@@ -504,10 +537,7 @@ def variance_bound_c_free(
 ) -> float:
     """(Phi0 + Phi1 + Phi2) (1/n + 2 (m/n) int K-bar^2), the variance bound
     with the universal constant factored out."""
-    if not (m > 0.0):
-        raise ValueError(f"bandwidth m must be positive, got {m}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_point(m, n)
     integral = kernel.envelope_sq_integral
     if not math.isfinite(integral):
         raise ValueError("kernel envelope is not square integrable")
@@ -540,17 +570,35 @@ def mse_bound(
     A degenerate curvature limit (kernel identically 1 near zero) zeroes the
     squared-bias term; the exact finite-n bias still carries the whole bias.
     """
+    return _mse_bounds(profile, model, kernel, [(n, m)])[0]
+
+
+def _mse_bounds(
+    profile: DependenceProfile,
+    model: CovarianceModel,
+    kernel: Kernel,
+    points: Sequence[tuple[int, float]],
+) -> list[MSEReport]:
+    """``mse_bound`` at each (n, m) of ``points``, in order, with the bits of
+    one call per point.  The points of one n read one autocovariance vector,
+    C(1..J) at the largest ``_leading_stop`` J among them, and each exact
+    bias its prefix."""
     report = check_assumptions(kernel)
     if not report.all_pass:
         raise ValueError(f"kernel fails its assumptions: {report}")
-    if report.degenerate_limit or report.k_q == 0.0:
-        squared_leading = 0.0
-    else:
-        gq = gamma_q(model, report.q)
-        squared_leading = 4.0 * (report.k_q * gq) ** 2 / m ** (2.0 * report.q)
-    return MSEReport(
-        bias=exact_bias(model, kernel, m, n),
-        variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
-        squared_bias_leading=squared_leading,
-    )
-
+    stops: dict[int, int] = {}
+    for n, m in points:
+        _check_point(m, n)
+        stops[n] = max(stops.get(n, 0), _leading_stop(model, kernel, m, n))
+    covs = {n: autocovariance(model, np.arange(1, stop + 1)) for n, stop in stops.items()}
+    gq = None if report.degenerate_limit or report.k_q == 0.0 else gamma_q(model, report.q)
+    return [
+        MSEReport(
+            bias=_exact_bias(model, kernel, m, n, covs[n]),
+            variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
+            squared_bias_leading=(
+                0.0 if gq is None else 4.0 * (report.k_q * gq) ** 2 / m ** (2.0 * report.q)
+            ),
+        )
+        for n, m in points
+    ]

@@ -28,6 +28,8 @@ order.
 from __future__ import annotations
 
 import math
+import threading
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import Union
 
@@ -393,6 +395,66 @@ def _philox_words(seed: int, rows: int, n_words: int, first: int = 0) -> np.ndar
     return words
 
 
+def _sign_paths(model: CovarianceModel, p: int, seed: int, count: int, first: int) -> np.ndarray:
+    """Rows first..first + count - 1 of a sign model's block, keyed all at
+    once by ``_philox_words``."""
+    # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
+    # draw, low half first, and keeps the top bit of that half: bits 31 and
+    # 63 of each word, in that order.
+    width = _innovation_width(model, p)
+    words = _philox_words(seed, count, (width + 1) // 2, first)
+    bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
+    bits[:, 0::2] = (words >> 31) & 1
+    bits[:, 1::2] = words >> 63
+    return _signs_to_paths(model, bits[:, :width])
+
+
+def _normal_rows(seed: int) -> Callable[[np.ndarray, int], None]:
+    """``fill(out, first)``: row r of out gets the ``standard_normal``
+    draws of stream (seed, first + r).  One Philox generator serves every
+    row, re-keyed to its stream with a fresh counter instead of built anew.
+    The fill of a row runs in numpy without the GIL, so a fill on another
+    thread overlaps the caller's work."""
+    bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
+    # The state setter reads plain ints and lists faster than the ndarray
+    # entries the getter returns, so re-key through a converted copy.
+    fresh = bitgen.state
+    state = {
+        **fresh,
+        "state": {name: v.tolist() for name, v in fresh["state"].items()},
+        "buffer": fresh["buffer"].tolist(),
+    }
+    key = state["state"]["key"]
+    gen = np.random.Generator(bitgen)
+
+    def fill(out: np.ndarray, first: int) -> None:
+        for r in range(out.shape[0]):
+            key[1] = (first + r) & _MASK64
+            bitgen.state = state
+            gen.standard_normal(out=out[r])
+
+    return fill
+
+
+def _gaussian_paths(
+    model: CovarianceModel, block: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """The paths of a block of innovation rows: AR(1) paths in place in
+    ``block``, MA paths in ``out`` (a new array if None)."""
+    if isinstance(model, GaussianAR1):
+        # x_t = rho * x_{t-1} + w_t, with w_t = scale * z_t formed first in
+        # one pass; each step is then one multiply and one add.
+        block[:, 1:] *= math.sqrt(1.0 - model.rho * model.rho)
+        _ar1_recursion(block, model.rho)
+        return block
+    c = np.asarray(model.coeffs)
+    rows, width = block.shape
+    out = np.empty((rows, width - model.order)) if out is None else out[:rows]
+    for r in range(rows):
+        out[r] = np.convolve(block[r], c, mode="valid")
+    return out
+
+
 def generate_paths(
     model: CovarianceModel, p: int, seed: int, count: int, first: int = 0
 ) -> np.ndarray:
@@ -405,9 +467,9 @@ def generate_paths(
     drawn as a chunk of their own, with the same bits, and a length-p path
     is the prefix of every longer path of its stream: each transform reads
     a row's draws in order.  Sign blocks are keyed all at once by
-    ``_philox_words``.  Gaussian blocks are drawn from one Philox generator
-    that each row re-keys to its stream with a fresh counter, instead of
-    building a new generator.
+    ``_philox_words``.  Gaussian blocks are drawn by ``_normal_rows`` and
+    then transformed; ``_path_chunks`` takes the same two steps a chunk at a
+    time.
 
     The AR(1) recursion x_t = fl(fl(rho x_{t-1}) + w_t) gives the bits of a
     loop over the columns without one Python step per column.  Each row is
@@ -427,48 +489,80 @@ def generate_paths(
         raise ValueError("p and count must be >= 1")
     if first < 0:
         raise ValueError(f"first must be >= 0, got {first}")
-    width = _innovation_width(model, p)
     if isinstance(model, (RademacherIID, RademacherProductMDS)):
-        # integers(0, 2) spends one 32-bit half of a 64-bit Philox word per
-        # draw, low half first, and keeps the top bit of that half: bits 31
-        # and 63 of each word, in that order.
-        words = _philox_words(seed, count, (width + 1) // 2, first)
-        bits = np.empty((count, 2 * words.shape[1]), dtype=np.uint8)
-        bits[:, 0::2] = (words >> 31) & 1
-        bits[:, 1::2] = words >> 63
-        return _signs_to_paths(model, bits[:, :width])
+        return _sign_paths(model, p, seed, count, first)
+    block = np.empty((count, _innovation_width(model, p)))
+    _normal_rows(seed)(block, first)
+    return _gaussian_paths(model, block)
 
-    bitgen = np.random.Philox(key=np.array([seed & _MASK64, 0], dtype=np.uint64))
-    # The state setter reads plain ints and lists faster than the ndarray
-    # entries the getter returns, so re-key through a converted copy.
-    fresh = bitgen.state
-    state = {
-        **fresh,
-        "state": {name: v.tolist() for name, v in fresh["state"].items()},
-        "buffer": fresh["buffer"].tolist(),
-    }
-    key = state["state"]["key"]
 
-    def rekey(r: int) -> None:
-        key[1] = r & _MASK64
-        bitgen.state = state
+# Innovations a Gaussian row must hold before ``_path_chunks`` draws the
+# next chunk on a worker thread.  Re-keying a row holds the GIL for about
+# 1.4 us and its fill releases it for about 15 ns a value (2 vCPU Xeon,
+# numpy 2.4), so on short rows the worker and the caller's transform take
+# turns at the GIL.  quadform_var over 2e6 values a run took 1.0-1.5 times
+# as long with the worker as without at p = 16 ... 512 (AR(1) and MA(2)),
+# and 0.76-0.91 times at p = 1024 and 2048.
+_OVERLAP_WIDTH = 1024
 
-    gen = np.random.Generator(bitgen)
-    block = np.empty((count, width))
-    for r in range(count):
-        rekey(first + r)
-        gen.standard_normal(out=block[r])
-    if isinstance(model, GaussianAR1):
-        # x_t = rho * x_{t-1} + w_t, with w_t = scale * z_t formed first in
-        # one pass; each step is then one multiply and one add.
-        block[:, 1:] *= math.sqrt(1.0 - model.rho * model.rho)
-        _ar1_recursion(block, model.rho)
-        return block
-    c = np.asarray(model.coeffs)
-    out = np.empty((count, p))
-    for r in range(count):
-        out[r] = np.convolve(block[r], c, mode="valid")
-    return out
+
+def _path_chunks(
+    model: CovarianceModel, p: int, seed: int, count: int, width: int
+) -> Iterator[tuple[range, np.ndarray]]:
+    """``(rows, paths)`` for each range of ``_row_chunks(count, width)``,
+    paths the bits of ``generate_paths(model, p, seed, len(rows),
+    first=rows.start)``.
+
+    The paths of a Gaussian model live in buffers the next chunk reuses, so
+    read them before asking for the next chunk.  On rows of at least
+    ``_OVERLAP_WIDTH`` innovations, while the caller works on chunk k, one
+    worker thread (a new one per chunk, never two at once) draws chunk
+    k + 1's innovations into the spare of two chunk buffers, and the caller
+    keeps the model transform: the draws run in numpy without the GIL, and
+    the AR(1) scan's small ufunc calls do not.  The worker calls nothing but ``_normal_rows``'s fill, so it cannot
+    change a bit: each row is re-keyed to its own stream.  It is joined
+    before the next chunk is handed out and on every way out of the loop,
+    and what it raises is raised here.  Shorter rows are drawn on the
+    caller, into one buffer, and sign chunks are keyed on the caller, a
+    chunk at a time.
+    """
+    chunks = _row_chunks(count, width)
+    if isinstance(model, (RademacherIID, RademacherProductMDS)):
+        for rows in chunks:
+            yield rows, _sign_paths(model, p, seed, len(rows), rows.start)
+        return
+    fill = _normal_rows(seed)
+    shape = (len(chunks[0]), _innovation_width(model, p))
+    overlap = len(chunks) > 1 and shape[1] >= _OVERLAP_WIDTH
+    block, spare = np.empty(shape), np.empty(shape) if overlap else None
+    out = np.empty((shape[0], p)) if isinstance(model, GaussianMA) else None
+    errors: list[BaseException] = []
+
+    def draw(rows: np.ndarray, first: int) -> None:
+        try:
+            fill(rows, first)
+        except BaseException as exc:  # raised again on the caller after the join
+            errors.append(exc)
+
+    fill(block, 0)
+    worker = None
+    try:
+        for rows, after in zip(chunks, chunks[1:] + [None]):
+            if after is not None and overlap:
+                worker = threading.Thread(target=draw, args=(spare[: len(after)], after.start))
+                worker.start()
+            yield rows, _gaussian_paths(model, block[: len(rows)], out)
+            if worker is not None:
+                worker.join()
+                worker = None
+                if errors:
+                    raise errors[0]
+                block, spare = spare, block
+            elif after is not None:
+                fill(block[: len(after)], after.start)
+    finally:
+        if worker is not None:
+            worker.join()
 
 
 def _acf(model: CovarianceModel) -> tuple[np.ndarray, tuple[float, float]]:

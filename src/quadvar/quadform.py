@@ -25,11 +25,10 @@ import numpy as np
 from .models import (
     CovarianceModel,
     DependenceProfile,
-    _row_chunks,
+    _path_chunks,
     covariance_matrix,
     enumerate_sign_paths,
     excess_kurtosis,
-    generate_paths,
     path_rng,
 )
 
@@ -133,10 +132,10 @@ class VarianceEstimate:
 def _quad_values(model: CovarianceModel, A: np.ndarray, replicates: int, seed: int) -> np.ndarray:
     """x'Ax for the paths of streams (seed, 0..replicates-1), drawn a chunk
     of rows at a time."""
+    p = A.shape[0]
     q = np.empty(replicates)
-    for part in _row_chunks(replicates, A.shape[0]):
-        paths = generate_paths(model, A.shape[0], seed, len(part), first=part.start)
-        q[part.start : part.stop] = np.einsum("ri,ri->r", paths @ A, paths)
+    for rows, paths in _path_chunks(model, p, seed, replicates, p):
+        q[rows.start : rows.stop] = np.einsum("ri,ri->r", paths @ A, paths)
     return q
 
 
@@ -172,9 +171,8 @@ def mc_fourth_moment(model: CovarianceModel, a, replicates: int, seed: int) -> t
     if replicates < 2:
         raise ValueError("replicates must be >= 2")
     v = np.empty(replicates)
-    for part in _row_chunks(replicates, a.size):
-        paths = generate_paths(model, a.size, seed, len(part), first=part.start)
-        v[part.start : part.stop] = (paths @ a) ** 4
+    for rows, paths in _path_chunks(model, a.size, seed, replicates, a.size):
+        v[rows.start : rows.stop] = (paths @ a) ** 4
     return float(v.mean()), float(v.std(ddof=1) / math.sqrt(replicates))
 
 

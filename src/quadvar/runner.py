@@ -16,14 +16,15 @@ import numpy as np
 from .config import ExperimentConfig
 from .longrun import (
     _estimates,
+    _fft_buffers,
     _fft_size,
     _lag_sums,
     _lag_weights,
+    _mse_bounds,
     check_assumptions,
     lrv_true,
-    mse_bound,
 )
-from .models import _row_chunks, dependence_profile, generate_paths
+from .models import _path_chunks, dependence_profile
 from .quadform import (
     exact_fourth_moment,
     exact_variance,
@@ -194,16 +195,17 @@ def _run_lrv_mse(cfg: ExperimentConfig) -> list[dict]:
     # Row r is stream (seed, r) whatever n and m are, and a length-n path is
     # the prefix of the longest one, so each chunk of rows is drawn once, at
     # the longest n, and every point reads its prefix.
-    for part in _row_chunks(cfg.replicates, max(size for _, size in groups)):
-        chunk = generate_paths(model, longest, cfg.seed, len(part), first=part.start)
-        for (n, _), ms in groups.items():
-            sums = _lag_sums(chunk[:, :n], max(weights[n, m].size for m in ms))
+    buffers = {size: _fft_buffers(size) for _, size in groups}
+    widest = max(buffers)
+    for part, chunk in _path_chunks(model, longest, cfg.seed, cfg.replicates, widest):
+        for (n, size), ms in groups.items():
+            lags = max(weights[n, m].size for m in ms)
+            sums = _lag_sums(chunk[:, :n], lags, buffers[size])
             for m in ms:
                 values[n, m][part.start : part.stop] = _estimates(sums, weights[n, m], n)
     rows = []
-    for n, m in cfg.sweep:
+    for (n, m), report in zip(cfg.sweep, _mse_bounds(profile, model, kernel, cfg.sweep)):
         mse = float(np.mean((values[n, m] - sigma2) ** 2))
-        report = mse_bound(profile, model, kernel, m, n)
         budget = report.variance_bound_c_free + report.squared_bias_leading
         rows.append(
             {

@@ -12,6 +12,7 @@ from quadvar.longrun import (
     Kernel,
     _autocov_tail_sum,
     _lag_sums,
+    _mse_bounds,
     check_assumptions,
     estimate_lrv,
     exact_bias,
@@ -337,6 +338,23 @@ def test_mse_bound_report_fields():
     assert report.squared_bias_leading == pytest.approx(0.16, rel=1e-12)
     assert report.variance_bound_c_free > 0.0
     assert report.bias == exact_bias(model, Kernel("bartlett"), 10.0, 100)
+
+
+@pytest.mark.parametrize("kernel", ["bartlett", "quadratic_spectral"])
+@pytest.mark.parametrize(
+    "model", [GaussianAR1(rho=0.5), GaussianMA(coeffs=(0.6, 0.3, 0.1))], ids=repr
+)
+def test_mse_bounds_share_a_lag_vector_with_the_bits_of_one_call_a_point(model, kernel):
+    # Bartlett at n = 100, m = 150 sums 150 lags and at m = 2 only 99: the
+    # second reads a prefix of the first's vector
+    kernel = Kernel(kernel)
+    profile = dependence_profile(model)
+    points = [(100, 2.0), (300, 8.0), (100, 150.0), (100, 2.0), (300, 4.0)]
+    for (n, m), got in zip(points, _mse_bounds(profile, model, kernel, points)):
+        want = mse_bound(profile, model, kernel, m, n)
+        assert got.bias.exact.hex() == want.bias.exact.hex(), (n, m)
+        assert got.bias.leading.hex() == want.bias.leading.hex(), (n, m)
+        assert got == want, (n, m)
 
 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():

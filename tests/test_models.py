@@ -1,6 +1,8 @@
 """Model layer: exact moments, dependence profiles, reproducible sampling."""
 
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from quadvar.models import (
     RademacherIID,
     RademacherProductMDS,
     _innovation_width,
+    _path_chunks,
     autocovariance,
     covariance_matrix,
     dependence_profile,
@@ -285,6 +288,78 @@ def test_a_path_is_the_prefix_of_every_longer_path_of_its_stream(model):
 def test_generate_paths_rejects_a_negative_first_row():
     with pytest.raises(ValueError, match="first"):
         generate_paths(GaussianAR1(rho=0.5), 4, 1, 2, first=-1)
+
+
+def _chunked(model, p, seed, count, width):
+    """The rows of ``_path_chunks`` stacked, each chunk copied before the
+    next one reuses its buffer, and the row ranges it handed out."""
+    parts, ranges = [], []
+    for rows, paths in _path_chunks(model, p, seed, count, width):
+        assert paths.shape == (len(rows), p)
+        parts.append(paths.copy())
+        ranges.append(rows)
+    return np.concatenate(parts), ranges
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=repr)
+@pytest.mark.parametrize("budget", [1, 2048])
+def test_path_chunks_are_the_rows_of_generate_paths(monkeypatch, model, budget):
+    # p = 9 draws on the caller; p = 1100 is past _OVERLAP_WIDTH, so the
+    # Gaussian chunks after the first are drawn on the worker.  At a width
+    # of 300, 2048 doubles give six rows a chunk and a last chunk of five.
+    monkeypatch.setattr(models, "_CHUNK_DOUBLES", budget)
+    start = threading.active_count()
+    for p in (9, 1100):
+        block, ranges = _chunked(model, p, 6, 11, 300)
+        assert _same_bits(block, generate_paths(model, p, 6, 11)), p
+        step = max(1, budget // 300)
+        assert ranges == [range(r, min(r + step, 11)) for r in range(0, 11, step)]
+    assert threading.active_count() == start
+
+
+def _failing_rows(monkeypatch, fail_at):
+    """Patch ``_normal_rows`` so that its fill raises at call ``fail_at``
+    (counted from 1; 0 never), and record the thread of every call.  A fill off the main thread first
+    sleeps, so that a worker nobody joined is still alive afterwards."""
+    normal_rows, threads = models._normal_rows, []
+
+    def patched(seed):
+        fill = normal_rows(seed)
+
+        def recorded(out, first):
+            threads.append(threading.current_thread())
+            if threads[-1] is not threading.main_thread():
+                time.sleep(0.2)
+            if len(threads) == fail_at:
+                raise RuntimeError("draw failed")
+            fill(out, first)
+
+        return recorded
+
+    monkeypatch.setattr(models, "_normal_rows", patched)
+    return threads
+
+
+def test_a_worker_error_reaches_the_caller_and_the_worker_is_joined(monkeypatch):
+    threads = _failing_rows(monkeypatch, 2)
+    start = threading.active_count()
+    with pytest.raises(RuntimeError, match="draw failed"):
+        for _ in _path_chunks(GaussianAR1(rho=0.5), 1100, 6, 3, 2**17):
+            pass
+    assert threading.active_count() == start
+    # the first chunk is drawn on the caller, the second on the worker
+    assert threads[0] is threading.main_thread()
+    assert threads[1] is not threading.main_thread()
+
+
+def test_leaving_the_chunk_loop_early_joins_the_worker(monkeypatch):
+    threads = _failing_rows(monkeypatch, 0)
+    start = threading.active_count()
+    with pytest.raises(KeyError):
+        for _ in _path_chunks(GaussianMA(coeffs=(0.6, 0.3)), 1100, 6, 3, 2**17):
+            raise KeyError("caller failed")
+    assert threading.active_count() == start
+    assert len(threads) == 2
 
 
 @given(

@@ -312,35 +312,53 @@ def test_sizes_past_the_doubles_cap_are_exit_two(tmp_path, capsys, text, field):
 @pytest.mark.parametrize(
     "raw",
     [
-        # the omitted default of 100 000 replicates at n = 32 000: a 24 GiB block
-        pytest.param({**_LRV, "sweep": [[100, 4.0], [32000, 8.0]]}, id="lrv_default"),
+        # the omitted default of 100 000 replicates at 168 distinct points
         pytest.param(
-            {**_LRV, "replicates": 2**10, "sweep": [[100, 2.0], [2**14 + 1, 4.0]]},
-            id="lrv_max_n",
+            {**_LRV, "sweep": [[100, float(m)] for m in range(1, 169)]}, id="lrv_default"
         ),
         pytest.param(
-            {**_FOURTH, "replicates": 2**20, "vector": {"kind": "ones", "p": 17}}, id="fourth"
+            {**_LRV, "replicates": 2**23 + 1, "sweep": [[100, 2.0], [100, 4.0]]},
+            id="lrv_points",
         ),
         pytest.param(
-            {**_QUADFORM, "replicates": 2**18 + 1, "matrix": {"kind": "identity", "p": 64}},
+            {**_FOURTH, "replicates": 2**24 + 1, "vector": {"kind": "ones", "p": 2}}, id="fourth"
+        ),
+        pytest.param(
+            {**_QUADFORM, "replicates": 2**24 + 1, "matrix": {"kind": "identity", "p": 64}},
             id="quadform",
-        ),
-        pytest.param(
-            {**_QUADFORM, "matrix": {"kind": "identity", "p": 168}}, id="quadform_default"
         ),
     ],
 )
 def test_monte_carlo_path_block_past_the_doubles_cap_is_exit_two(tmp_path, capsys, raw):
-    """validate refuses replicates x p (replicates x max n for lrv_mse) past
-    the cap before anything is drawn; an omitted replicates counts as 100 000."""
+    """validate refuses per-row values past the cap before anything is
+    drawn: replicates (replicates x distinct sweep points for lrv_mse); an
+    omitted replicates counts as 100 000.  The rows themselves are drawn a
+    chunk at a time, so replicates x p is not capped."""
     _refused(tmp_path, capsys, json.dumps(raw), "replicates")
 
 
 def test_monte_carlo_path_block_at_the_doubles_cap_is_accepted():
-    raw = {**_FOURTH, "replicates": 2**20, "vector": {"kind": "ones", "p": 16}}
-    assert validate(json.dumps(raw)).replicates == 2**20
-    raw = {**_LRV, "replicates": 2**10, "sweep": [[2**14, 4.0], [100, 2.0]]}
-    assert validate(json.dumps(raw)).replicates == 2**10
+    raw = {**_FOURTH, "replicates": 2**24, "vector": {"kind": "ones", "p": 16}}
+    assert validate(json.dumps(raw)).replicates == 2**24
+    raw = {**_QUADFORM, "replicates": 2**24, "matrix": {"kind": "identity", "p": 64}}
+    assert validate(json.dumps(raw)).replicates == 2**24
+    # a repeated (n, m) keeps one set of values
+    sweep = [[2**14, 4.0], [100, 2.0], [2**14, 4.0]]
+    raw = {**_LRV, "replicates": 2**23, "sweep": sweep}
+    assert validate(json.dumps(raw)).replicates == 2**23
+
+
+def test_lrv_mse_transform_past_the_doubles_cap_is_exit_two(tmp_path, capsys):
+    """One row of an lrv_mse chunk is the sweep point's FFT size, 2^25 points
+    for n = 2^24 with a lag to read."""
+    raw = {**_LRV, "replicates": 2, "sweep": [[100, 2.0], [2**24, 2.0]]}
+    _refused(tmp_path, capsys, json.dumps(raw), "sweep[1]")
+
+
+def test_lrv_mse_transform_at_the_doubles_cap_is_accepted():
+    # Bartlett at m = 0.5 reads no lag, so n = 2^24 takes 2^24 points
+    raw = {**_LRV, "replicates": 2, "sweep": [[2**24, 0.5]]}
+    assert validate(json.dumps(raw)).sweep == ((2**24, 0.5),)
 
 
 _AR1_NEAR_ONE = {"name": "gaussian_ar1", "rho": 0.9999999}
@@ -628,21 +646,32 @@ def test_lrv_mse_sweep_holds_under_a_third_of_one_block():
 
 
 def test_lrv_mse_draws_each_row_once_at_the_largest_n(monkeypatch):
-    calls = []
-    draw = runner.generate_paths
+    calls, fills = [], []
+    chunks, normal_rows = runner._path_chunks, models._normal_rows
 
-    def recording(*args, **kwargs):
-        calls.append((args, kwargs))
-        return draw(*args, **kwargs)
+    def recording(*args):
+        calls.append(args)
+        return chunks(*args)
 
-    monkeypatch.setattr(runner, "generate_paths", recording)
+    def recording_rows(seed):
+        fill = normal_rows(seed)
+
+        def recorded(out, first):
+            fills.append((seed, first, out.shape))
+            fill(out, first)
+
+        return recorded
+
+    monkeypatch.setattr(runner, "_path_chunks", recording)
+    monkeypatch.setattr(models, "_normal_rows", recording_rows)
     # n = 600 with 4 lags takes a 1024-point transform: two rows a chunk
     monkeypatch.setattr(models, "_CHUNK_DOUBLES", 2048)
     cfg = _lrv_config([[300, 2.0], [600, 4.0], [300, 8.0]], 5)
     run(cfg)
-    assert [args[:3] for args, _ in calls] == [(cfg.model, 600, cfg.seed)] * 3
-    rows = [range(kwargs["first"], kwargs["first"] + args[3]) for args, kwargs in calls]
+    assert calls == [(cfg.model, 600, cfg.seed, 5, 1024)]
+    rows = [range(first, first + shape[0]) for _, first, shape in fills]
     assert rows == [range(0, 2), range(2, 4), range(4, 5)]
+    assert fills == [(cfg.seed, row.start, (len(row), 600)) for row in rows]
 
 
 @pytest.mark.parametrize("budget", [1, 2048])
@@ -691,7 +720,7 @@ def test_lrv_mse_kernel_failing_its_assumptions_is_exit_two(tmp_path, capsys, mo
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the kernel was checked")
 
-    monkeypatch.setattr(runner, "generate_paths", no_draws)
+    monkeypatch.setattr(runner, "_path_chunks", no_draws)
     table = {"name": "tabulated", "grid": [0.0, 1e-4, 1.0], "values": [1.0, 0.5, 0.0]}
     text = json.dumps({**_LRV, "kernel": table, "replicates": 2})
     _refused(tmp_path, capsys, text, "kernel")
@@ -1013,21 +1042,21 @@ def test_bench_configs_pass_their_assertions():
 
 def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, capsys):
     """The arguments are checked as an lrv_mse config: a bandwidth whose exact
-    bias would sum 1e15 lags, and a path block past the doubles cap, each
-    exit 2 through the parser before a path is drawn or a lag vector
-    allocated, naming the config field at fault."""
+    bias would sum 1e15 lags, and replicates x bandwidths past the doubles
+    cap, each exit 2 through the parser before a path is drawn or a lag
+    vector allocated, naming the config field at fault."""
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the arguments were checked")
 
-    monkeypatch.setattr(runner, "generate_paths", no_draws)
+    monkeypatch.setattr(runner, "_path_chunks", no_draws)
     for args, message in (
         (
             ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"],
             "sweep[1]: exact-bias lags = 1000000000000000 exceeds",
         ),
         (
-            ["--n", "200000", "--replicates", "100"],
-            "replicates: replicates x max n = 20000000 exceeds",
+            ["--n", "100", "--replicates", str(2**23 + 1), "--bandwidths", "2", "4"],
+            "replicates: replicates x sweep points = 16777218 exceeds",
         ),
     ):
         monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
