@@ -47,9 +47,10 @@ _MAX_SEED = (1 << 64) - 1
 # covariance of a fourth_moment vector, or an esd covariance), p * n (an esd
 # sample), atoms * points (a grid), the per-row values of a Monte Carlo run
 # (replicates, or replicates * distinct sweep points for lrv_mse), one row
-# of an lrv_mse chunk (the sweep's largest FFT size), and the lags the exact
-# bias of one lrv_mse sweep point sums.  A Monte Carlo run never holds its
-# whole replicates x width block: it draws a chunk of rows at a time.
+# of an lrv_mse chunk (the sweep's largest FFT size), the lags the exact
+# bias of one lrv_mse sweep point sums, and the kernel weights of an lrv_mse
+# run, summed over its distinct points.  A Monte Carlo run never holds its whole
+# replicates x width block: it draws a chunk of rows at a time.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -490,13 +491,15 @@ def validate(
         report = check_assumptions(kwargs["kernel"])
         if not report.all_pass:
             raise ConfigError(f"kernel: fails its assumptions: {report}")
-        points = len(set(kwargs["sweep"]))
-        _check_doubles(replicates * points, "replicates", "replicates x sweep points")
+        points = set(kwargs["sweep"])
+        _check_doubles(replicates * len(points), "replicates", "replicates x sweep points")
         for i, (n, m) in enumerate(kwargs["sweep"]):
             size = _fft_size(n, _lag_count(kwargs["kernel"], m, n))
             _check_doubles(size, f"sweep[{i}]", "FFT size")
             lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
             _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
+        weights = sum(_lag_count(kwargs["kernel"], m, n) for n, m in points)
+        _check_doubles(weights, "sweep", "kernel weights")
     elif "replicates" in spec.optional:
         # a row's p is capped above, by the p x p matrix or covariance
         _check_doubles(replicates, "replicates", "replicates")

@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import CovarianceModel, DependenceProfile, _acf, autocovariance
+from .models import CovarianceModel, DependenceProfile, _acf, _path_chunks, autocovariance
 
 __all__ = [
     "Kernel",
@@ -394,17 +394,34 @@ def estimate_lrv(path, kernel: Kernel, m: float) -> float:
     return float(_estimates(_lag_sums(x[None], weights.size), weights, x.size)[0])
 
 
-def mc_mse(paths, kernel: Kernel, m: float, sigma2: float) -> float:
-    """Monte Carlo MSE of ``estimate_lrv`` against ``sigma2``: the mean of
-    (sigma2_hat - sigma2)^2 over the rows of a (replicates, n) block, each
-    row's estimate the bits of ``estimate_lrv`` on it."""
-    block = np.asarray(paths, dtype=float)
-    if block.ndim != 2 or block.size == 0:
-        raise ValueError("paths must be a non-empty 2-D array")
-    n = block.shape[1]
-    weights = _lag_weights(kernel, m, n)
-    values = _estimates(_lag_sums(block, weights.size), weights, n)
-    return float(np.mean((values - sigma2) ** 2))
+def mc_mse(
+    model: CovarianceModel,
+    kernel: Kernel,
+    sweep: Sequence[tuple[int, float]],
+    replicates: int,
+    seed: int,
+) -> list[float]:
+    """Monte Carlo MSE of ``estimate_lrv`` against ``lrv_true(model)`` at each
+    (n, m) of ``sweep``, over rows (seed, 0..replicates - 1).  Each chunk of
+    rows is drawn once, at the longest n, and each point reads its prefix;
+    the points of one n and FFT size share one transform."""
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    weights = {(n, m): _lag_weights(kernel, m, n) for n, m in sweep}
+    groups: dict[tuple[int, int], list[float]] = {}
+    for (n, m), w in weights.items():
+        groups.setdefault((n, _fft_size(n, w.size)), []).append(m)
+    longest = max(n for n, _ in groups)
+    values = {key: np.empty(replicates) for key in weights}
+    buffers = {size: _fft_buffers(size) for _, size in groups}
+    for part, chunk in _path_chunks(model, longest, seed, replicates, max(buffers)):
+        for (n, size), ms in groups.items():
+            lags = max(weights[n, m].size for m in ms)
+            sums = _lag_sums(chunk[:, :n], lags, buffers[size])
+            for m in ms:
+                values[n, m][part.start : part.stop] = _estimates(sums, weights[n, m], n)
+    sigma2 = lrv_true(model)
+    return [float(np.mean((values[point] - sigma2) ** 2)) for point in sweep]
 
 
 def _autocov_tail_sum(model: CovarianceModel, start: int) -> float:
@@ -561,28 +578,12 @@ def mse_bound(
     profile: DependenceProfile,
     model: CovarianceModel,
     kernel: Kernel,
-    m: float,
-    n: int,
-) -> MSEReport:
-    """Report both leading MSE terms: the C-free variance part and the exact
-    squared-bias coefficient 4 (k_q Gamma_q)^2 / m^{2q}.
-
-    A degenerate curvature limit (kernel identically 1 near zero) zeroes the
-    squared-bias term; the exact finite-n bias still carries the whole bias.
-    """
-    return _mse_bounds(profile, model, kernel, [(n, m)])[0]
-
-
-def _mse_bounds(
-    profile: DependenceProfile,
-    model: CovarianceModel,
-    kernel: Kernel,
     points: Sequence[tuple[int, float]],
 ) -> list[MSEReport]:
-    """``mse_bound`` at each (n, m) of ``points``, in order, with the bits of
-    one call per point.  The points of one n read one autocovariance vector,
-    C(1..J) at the largest ``_leading_stop`` J among them, and each exact
-    bias its prefix."""
+    """The C-free variance bound, the squared-bias coefficient
+    4 (k_q Gamma_q)^2 / m^{2q} (zero for a degenerate kernel) and the exact
+    bias at each (n, m) of ``points``.  The points of one n share one
+    autocovariance vector, so each report has the bits of a batch of one."""
     report = check_assumptions(kernel)
     if not report.all_pass:
         raise ValueError(f"kernel fails its assumptions: {report}")

@@ -14,17 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ExperimentConfig
-from .longrun import (
-    _estimates,
-    _fft_buffers,
-    _fft_size,
-    _lag_sums,
-    _lag_weights,
-    _mse_bounds,
-    check_assumptions,
-    lrv_true,
-)
-from .models import _path_chunks, dependence_profile
+from .longrun import check_assumptions, lrv_true, mc_mse, mse_bound
+from .models import dependence_profile
 from .quadform import (
     exact_fourth_moment,
     exact_variance,
@@ -184,28 +175,10 @@ def _run_lrv_mse(cfg: ExperimentConfig) -> list[dict]:
     sigma2 = lrv_true(model)
     cap = cfg.tolerances["ratio_cap"]
     slack = cfg.tolerances["slack_over_n"]
-    # Each distinct (n, m) once, with its weights; the bandwidths of one n
-    # and one transform size share one set of lag sums.
-    weights = {(n, m): _lag_weights(kernel, m, n) for n, m in cfg.sweep}
-    groups: dict[tuple[int, int], list[float]] = {}
-    for (n, m), w in weights.items():
-        groups.setdefault((n, _fft_size(n, w.size)), []).append(m)
-    longest = max(n for n, _ in groups)
-    values = {key: np.empty(cfg.replicates) for key in weights}
-    # Row r is stream (seed, r) whatever n and m are, and a length-n path is
-    # the prefix of the longest one, so each chunk of rows is drawn once, at
-    # the longest n, and every point reads its prefix.
-    buffers = {size: _fft_buffers(size) for _, size in groups}
-    widest = max(buffers)
-    for part, chunk in _path_chunks(model, longest, cfg.seed, cfg.replicates, widest):
-        for (n, size), ms in groups.items():
-            lags = max(weights[n, m].size for m in ms)
-            sums = _lag_sums(chunk[:, :n], lags, buffers[size])
-            for m in ms:
-                values[n, m][part.start : part.stop] = _estimates(sums, weights[n, m], n)
+    mses = mc_mse(model, kernel, cfg.sweep, cfg.replicates, cfg.seed)
+    reports = mse_bound(profile, model, kernel, cfg.sweep)
     rows = []
-    for (n, m), report in zip(cfg.sweep, _mse_bounds(profile, model, kernel, cfg.sweep)):
-        mse = float(np.mean((values[n, m] - sigma2) ** 2))
+    for (n, m), mse, report in zip(cfg.sweep, mses, reports):
         budget = report.variance_bound_c_free + report.squared_bias_leading
         rows.append(
             {

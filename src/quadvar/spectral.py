@@ -622,15 +622,13 @@ def limit_cdf(law: SpectralModel):
 
 def kolmogorov_distance(esd, cdf) -> float:
     """sup_x |F_esd(x) - cdf(x)|, evaluated at the eigenvalue breakpoints
-    from both sides."""
+    from both sides; ``cdf`` takes the sorted eigenvalues as one array, as
+    ``limit_cdf``'s does."""
     lam = np.sort(np.asarray(esd, dtype=float))
     if lam.ndim != 1 or lam.size == 0:
         raise ValueError("esd must be a non-empty 1-D array")
     p = lam.size
-    try:
-        ref = np.asarray(cdf(lam), dtype=float)
-    except TypeError:
-        ref = np.array([float(cdf(float(v))) for v in lam])
+    ref = np.asarray(cdf(lam), dtype=float)
     if ref.shape != lam.shape:
         raise ValueError("cdf must return one value per query point")
     steps_hi = np.arange(1, p + 1) / p

@@ -363,16 +363,12 @@ def mse_sweep():
         consistency[n] = mc_mse(n, float(n) ** (1.0 / 3.0), paths)
         if n == 32000:
             shape = {m: mc_mse(n, float(m), paths) for m in (2, 8, 32, 128)}
-    budget = {}
-    for n in (2000, 8000, 32000):
-        m = float(n) ** (1.0 / 3.0)
-        report = mse_bound(profile, model, kernel, m, n)
-        budget[(n, m)] = report.variance_bound_c_free + report.squared_bias_leading
-    for m in (2, 8, 32, 128):
-        report = mse_bound(profile, model, kernel, float(m), 32000)
-        budget[(32000, float(m))] = (
-            report.variance_bound_c_free + report.squared_bias_leading
-        )
+    points = [(n, float(n) ** (1.0 / 3.0)) for n in (2000, 8000, 32000)]
+    points += [(32000, float(m)) for m in (2, 8, 32, 128)]
+    budget = {
+        point: report.variance_bound_c_free + report.squared_bias_leading
+        for point, report in zip(points, mse_bound(profile, model, kernel, points))
+    }
     return {
         "consistency": consistency,
         "shape": shape,
@@ -467,14 +463,27 @@ def _run_cli(config: Path, out: Path, threads: int, fmt: str):
 def test_12_bundled_configs_are_bit_reproducible(tmp_path):
     configs = sorted((REPO / "configs").glob("*.json"))
     assert len(configs) >= 6
-    for config in configs:
+    # two runs at one thread and one at four, named 1, 2 and 4
+    runs = [
+        (config, fmt, tag, threads)
+        for config in configs
+        for fmt in ("csv", "json")
+        for tag, threads in ((1, 1), (2, 1), (4, 4))
+    ]
+
+    def output(job):
+        config, fmt, tag, threads = job
+        return _run_cli(config, tmp_path / f"{config.stem}_{tag}.{fmt}", threads, fmt)
+
+    # the runs are independent processes, so two at a time halve the wait
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        outputs = list(pool.map(output, runs))
+    for index in range(0, len(runs), 3):
+        config, fmt = runs[index][:2]
+        first, second, threaded = outputs[index : index + 3]
         name = config.stem
-        for fmt in ("csv", "json"):
-            first = _run_cli(config, tmp_path / f"{name}_1.{fmt}", 1, fmt)
-            second = _run_cli(config, tmp_path / f"{name}_2.{fmt}", 1, fmt)
-            threaded = _run_cli(config, tmp_path / f"{name}_4.{fmt}", 4, fmt)
-            assert first == second, f"{name} {fmt} differs between identical runs"
-            assert first == threaded, f"{name} {fmt} differs across thread counts"
+        assert first == second, f"{name} {fmt} differs between identical runs"
+        assert first == threaded, f"{name} {fmt} differs across thread counts"
     _report(
         "bit reproducibility",
         f"{len(configs)} configs x csv+json x thread counts",

@@ -1,18 +1,19 @@
 """Kernels, long-run variance estimation, and the bias/variance envelopes."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import cumulant_sum, fourth_cumulant
+from oracles import cumulant_sum, fourth_cumulant, lrv_mc_mse_reference
+from quadvar import models
 from quadvar.longrun import (
     Kernel,
     _autocov_tail_sum,
     _lag_sums,
-    _mse_bounds,
     check_assumptions,
     estimate_lrv,
     exact_bias,
@@ -215,11 +216,18 @@ def test_lag_sums_match_direct_sums_at_every_lag(n, lags):
 
 
 @pytest.mark.parametrize("kernel", NAMED_KERNELS, ids=lambda k: k.variant)
-def test_mc_mse_is_the_mean_over_the_rows_of_estimate_lrv(kernel):
-    paths = generate_paths(GaussianAR1(rho=0.5), 300, seed=23, count=9)
-    values = np.array([estimate_lrv(row, kernel, 7.0) for row in paths])
-    want = float(np.mean((values - 3.0) ** 2))
-    assert mc_mse(paths, kernel, 7.0, 3.0).hex() == want.hex()
+def test_mc_mse_is_the_mean_over_the_rows_of_estimate_lrv(monkeypatch, kernel):
+    # interleaved n, a repeated point, and (for the finite-support kernels)
+    # m = 2 and m = 450 at n = 600 in 1024- and 2048-point transforms; one
+    # row a chunk at the widest transform, so every chunk boundary is crossed
+    monkeypatch.setattr(models, "_CHUNK_DOUBLES", 2048)
+    cfg = SimpleNamespace(model=GaussianAR1(rho=0.5), kernel=kernel, seed=23, replicates=9)
+    sweep = [(300, 2.0), (600, 450.0), (600, 2.0), (300, 8.0), (600, 2.0)]
+    got = mc_mse(cfg.model, kernel, sweep, cfg.replicates, cfg.seed)
+    assert len(got) == len(sweep)
+    sigma2 = lrv_true(cfg.model)
+    for value, (n, m) in zip(got, sweep):
+        assert value.hex() == lrv_mc_mse_reference(cfg, n, m, sigma2).hex(), (n, m)
 
 
 def test_estimate_lrv_rejects_bad_paths_and_bandwidths():
@@ -332,7 +340,7 @@ def test_variance_bound_closed_form():
 def test_mse_bound_report_fields():
     model = GaussianAR1(rho=0.5)
     profile = dependence_profile(model)
-    report = mse_bound(profile, model, Kernel("bartlett"), 10.0, 100)
+    [report] = mse_bound(profile, model, Kernel("bartlett"), [(100, 10.0)])
     assert lrv_true(model) == pytest.approx(3.0, rel=1e-14)
     # 4 (k_q Gamma_q)^2 / m^(2q) with q=1: 4 * (1*2)^2 / 100
     assert report.squared_bias_leading == pytest.approx(0.16, rel=1e-12)
@@ -350,8 +358,10 @@ def test_mse_bounds_share_a_lag_vector_with_the_bits_of_one_call_a_point(model, 
     kernel = Kernel(kernel)
     profile = dependence_profile(model)
     points = [(100, 2.0), (300, 8.0), (100, 150.0), (100, 2.0), (300, 4.0)]
-    for (n, m), got in zip(points, _mse_bounds(profile, model, kernel, points)):
-        want = mse_bound(profile, model, kernel, m, n)
+    reports = mse_bound(profile, model, kernel, points)
+    assert len(reports) == len(points)
+    for (n, m), got in zip(points, reports):
+        [want] = mse_bound(profile, model, kernel, [(n, m)])
         assert got.bias.exact.hex() == want.bias.exact.hex(), (n, m)
         assert got.bias.leading.hex() == want.bias.leading.hex(), (n, m)
         assert got == want, (n, m)
@@ -360,7 +370,7 @@ def test_mse_bounds_share_a_lag_vector_with_the_bits_of_one_call_a_point(model, 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():
     model = GaussianAR1(rho=0.5)
     profile = dependence_profile(model)
-    report = mse_bound(profile, model, Kernel("truncated"), 10.0, 100)
+    [report] = mse_bound(profile, model, Kernel("truncated"), [(100, 10.0)])
     assert report.squared_bias_leading == 0.0
 
 
@@ -369,7 +379,7 @@ def test_mse_bound_rejects_failing_assumptions():
     profile = dependence_profile(model)
     bad = Kernel.tabulated([0.0, 2.0**-43], [1.0, 0.5])
     with pytest.raises(ValueError):
-        mse_bound(profile, model, bad, 10.0, 100)
+        mse_bound(profile, model, bad, [(100, 10.0)])
 
 
 # ------------------------------------------------------------------- cumulants

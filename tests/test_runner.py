@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from oracles import lrv_mc_mse_reference, stieltjes_grid_reference
-from quadvar import models, runner
+from quadvar import longrun, models, runner
 from quadvar.cli import main as cli_main
 from quadvar.config import EXPERIMENTS, ConfigError, canonical_hash, load_config, validate
 from quadvar.longrun import lrv_true
@@ -361,6 +361,31 @@ def test_lrv_mse_transform_at_the_doubles_cap_is_accepted():
     assert validate(json.dumps(raw)).sweep == ((2**24, 0.5),)
 
 
+def test_lrv_mse_kernel_weights_past_the_doubles_cap_is_exit_two(tmp_path, capsys, monkeypatch):
+    """2 000 quadratic-spectral points at n = 2^23 pass every per-point cap,
+    but a run would hold n - 1 weights a point, 1.68e10 doubles (134 GB):
+    the sweep is refused before any path is drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn before the sweep was checked")
+
+    monkeypatch.setattr(longrun, "_path_chunks", no_draws)
+    sweep = [[2**23, float(m)] for m in range(1, 2001)]
+    raw = {**_LRV, "kernel": {"name": "quadratic_spectral"}, "replicates": 8000, "sweep": sweep}
+    _refused(tmp_path, capsys, json.dumps(raw), "sweep")
+
+
+def test_lrv_mse_kernel_weights_at_the_doubles_cap_are_accepted():
+    # Bartlett reads floor(m) lags: four bandwidths at n = 2^22 + 1 hold
+    # 4 x 2^22 = 2^24 weights, a repeated point adds none, and one more lag
+    # is refused
+    sweep = [[2**22 + 1, 2.0**22 + k / 4] for k in range(4)]
+    raw = {**_LRV, "replicates": 2, "sweep": sweep + sweep[:1]}
+    assert len(validate(json.dumps(raw)).sweep) == 5
+    raw["sweep"] = sweep + [[2, 1.0]]
+    with pytest.raises(ConfigError, match="sweep: kernel weights = 16777217 exceeds"):
+        validate(json.dumps(raw))
+
+
 _AR1_NEAR_ONE = {"name": "gaussian_ar1", "rho": 0.9999999}
 
 
@@ -647,7 +672,7 @@ def test_lrv_mse_sweep_holds_under_a_third_of_one_block():
 
 def test_lrv_mse_draws_each_row_once_at_the_largest_n(monkeypatch):
     calls, fills = [], []
-    chunks, normal_rows = runner._path_chunks, models._normal_rows
+    chunks, normal_rows = longrun._path_chunks, models._normal_rows
 
     def recording(*args):
         calls.append(args)
@@ -662,7 +687,7 @@ def test_lrv_mse_draws_each_row_once_at_the_largest_n(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(runner, "_path_chunks", recording)
+    monkeypatch.setattr(longrun, "_path_chunks", recording)
     monkeypatch.setattr(models, "_normal_rows", recording_rows)
     # n = 600 with 4 lags takes a 1024-point transform: two rows a chunk
     monkeypatch.setattr(models, "_CHUNK_DOUBLES", 2048)
@@ -720,7 +745,7 @@ def test_lrv_mse_kernel_failing_its_assumptions_is_exit_two(tmp_path, capsys, mo
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the kernel was checked")
 
-    monkeypatch.setattr(runner, "_path_chunks", no_draws)
+    monkeypatch.setattr(longrun, "_path_chunks", no_draws)
     table = {"name": "tabulated", "grid": [0.0, 1e-4, 1.0], "values": [1.0, 0.5, 0.0]}
     text = json.dumps({**_LRV, "kernel": table, "replicates": 2})
     _refused(tmp_path, capsys, text, "kernel")
@@ -1048,7 +1073,7 @@ def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, ca
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the arguments were checked")
 
-    monkeypatch.setattr(runner, "_path_chunks", no_draws)
+    monkeypatch.setattr(longrun, "_path_chunks", no_draws)
     for args, message in (
         (
             ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"],

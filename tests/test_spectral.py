@@ -628,7 +628,7 @@ def test_limit_cdf_rejects_nonpositive_atoms():
 
 def test_kolmogorov_distance_point_mass_vs_uniform():
     esd = np.array([1.0])
-    assert kolmogorov_distance(esd, lambda t: min(max(t, 0.0), 1.0)) == pytest.approx(1.0)
+    assert kolmogorov_distance(esd, lambda t: np.clip(t, 0.0, 1.0)) == pytest.approx(1.0)
 
 
 def test_kolmogorov_distance_hits_quantile_floor():
