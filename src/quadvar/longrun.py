@@ -140,10 +140,19 @@ class Kernel:
         a suffix maximum over everything from the covering breakpoint on
         (plus the analytic tail bound), it upper-bounds sup_{y >= x} |K(y)|
         and is non-increasing by construction.
+
+        For the quadratic spectral kernel, entry i bounds |K| on the whole
+        interval [x_i, x_{i+1}]: the larger end value plus the linear
+        interpolation error h^2 / 8 sup|K''|, where sup|K''| = |K''(0)| =
+        36 pi^2 / 125, since K(x) = (3/2) int_0^1 (1 - t^2) cos(a t) dt with
+        a = 6 pi x / 5.
         """
         if self.variant == "quadratic_spectral":
             xs = np.arange(0.0, _ENVELOPE_EXTENT + _ENVELOPE_STEP, _ENVELOPE_STEP)
             vals = np.abs(kernel_eval(self, xs))
+            vals[:-1] = np.maximum(vals[:-1], vals[1:]) + np.diff(xs) ** 2 * (
+                9.0 * math.pi**2 / 250.0
+            )
             vals[-1] = max(vals[-1], _qs_tail_bound(_ENVELOPE_EXTENT))
         else:  # tabulated: suffix maxima over its own nodes are exact
             xs = np.asarray(self.grid, dtype=float)

@@ -16,10 +16,11 @@ kept only where it stays there and lowers |m - F(m)|.  ``solve_stieltjes``
 is its one checked entry point, and every route calls it: the
 ``stieltjes_grid`` experiment, ``limit_stieltjes`` and ``limit_cdf``, whose
 fine grid it warm-starts from the coarse one.
-Eigenvalues come from one in-house route, Householder tridiagonalisation
-followed by Sturm-count bisection, built from ufunc reductions so that no
-BLAS thread count can change their bits; LAPACK is its oracle in the tests,
-never on the emitted path.
+Eigenvalues come from one route: the in-house Householder
+tridiagonalisation, built from ufunc reductions, hands a tridiagonal T to
+LAPACK, which reduces it no further and runs implicit QL/QR on one thread,
+so no BLAS thread count can change their bits; LAPACK on the full matrix
+and Sturm-count bisection on T are its oracles in the tests.
 
 When the driving path itself is serially dependent, E[(Gx)(Gx)'] is no longer
 G G'; ``effective_spectral_model`` converts a (model, target) pair into the
@@ -203,127 +204,19 @@ def _tridiagonalise(S) -> tuple[np.ndarray, np.ndarray]:
     return np.ldexp(d, shift), np.ldexp(e, shift)
 
 
-def _ldl_pivots(d, e2, shifts, pivmin, guard) -> np.ndarray:
-    """Pivots of T - x I = L D L' for every shift x, row i the i-th pivot.
-
-    The count of pivots <= pivmin in a column is the number of eigenvalues
-    of T at or below its shift.  With ``guard``, a pivot within pivmin of
-    zero is pushed to -pivmin as in LAPACK dstebz; without it such a pivot
-    stays, and the rows after it may turn infinite or NaN.
-    """
-    pivot = np.subtract.outer(d, shifts)
-    ratio = np.empty(shifts.size)
-    tiny = np.empty(shifts.size, dtype=bool)
-    for i, current in enumerate(pivot):
-        if i > 0:
-            np.divide(e2[i - 1], pivot[i - 1], out=ratio)
-            np.subtract(current, ratio, out=current)
-        if guard:
-            np.less_equal(current, pivmin, out=tiny)
-            np.minimum(current, -pivmin, out=current, where=tiny)
-    return pivot
-
-
-# Shifts one pass of the Sturm recurrence evaluates at most.  A pass costs
-# two ufunc calls per row of T whatever its width, so it evaluates a tree of
-# b nested bisection levels, 2**b - 1 shifts per interval, with the largest
-# b that keeps (2**b - 1) p within this budget; wider passes trade calls for
-# shifts the walk discards.  On Gram matrices b = 2 to 4 ran within noise of
-# each other at p = 50 to 150, 2.5 to 4 times faster than plain bisection;
-# at p = 800 two levels took 0.39 s against 0.26 s for one.  500 keeps
-# b >= 2 up to p = 166 with a pivot block of at most 500 p doubles, 240 kB
-# at p = 100 (b = 2); at 700 (b = 3 and 560 kB there) the spectral_esd
-# benchmark's peak RSS rose 0.3 MiB more.
-_STURM_VALUES = 500
-
-
-def _sturm_levels(p: int) -> int:
-    """Bisection levels one pass evaluates for a p x p tridiagonal."""
-    return max(1, (_STURM_VALUES // p + 1).bit_length() - 1)
-
-
-def _sturm_eigenvalues(d, e) -> tuple[np.ndarray, int]:
-    """Eigenvalues (ascending) of the tridiagonal (d, e), and the bisection steps.
-
-    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
-    1967), vectorised over all p eigenvalues: interval j holds the j-th
-    smallest one, and each step counts the eigenvalues at or below every
-    midpoint with the LDL' pivot recurrence, a pivot within ``pivmin`` (the
-    smallest normal number) of zero being pushed to -pivmin as in LAPACK
-    dstebz.  Every interval starts
-    at the widened Gershgorin bounds and stops at the absolute width
-    eps * ||T||, so all take the same number of steps, about 53 whatever the
-    spectrum; a zero eigenvalue of a rank-deficient matrix stops as soon as
-    the rest.  Like the reduction it works on (d, e) scaled by a power of
-    two, to a largest entry in [1/2, 1).
-
-    The steps run as multisection: one pass of the recurrence counts at
-    every midpoint of the next b bisection steps of each interval, each
-    formed as 0.5 * (lo + hi) of its parent's ends, and a walk down that
-    tree takes the same decisions as b single steps, so the result and the
-    step count are those of plain bisection bit for bit.  Each pass runs the
-    recurrence on a (p, K) block for all K = (2**b - 1) p shifts at once.
-    """
-    p = d.size
-    shift = _binary_exponent(np.concatenate([d, e]))
-    d, e = np.ldexp(d, -shift), np.ldexp(e, -shift)
-    e2 = e * e
-    radius = np.zeros(p)
-    radius[:-1] += np.abs(e)
-    radius[1:] += np.abs(e)
-    lower, upper = float((d - radius).min()), float((d + radius).max())
-    norm = max(abs(lower), abs(upper))
-    eps = np.finfo(float).eps
-    pivmin = np.finfo(float).tiny
-    slack = 2.1 * (eps * norm * p + 2.0 * pivmin)
-    lower, upper = lower - slack, upper + slack
-    steps = math.ceil(math.log2((upper - lower) / max(eps * norm, pivmin)))
-    levels = _sturm_levels(p)
-    lo, hi = np.full(p, lower), np.full(p, upper)
-    index = np.arange(p)
-    done = 0
-    while done < steps:
-        depth = min(levels, steps - done)
-        done += depth
-        # Heap order: node k halves [left[k], right[k]] at mid[k], and its
-        # children 2k and 2k + 1 are the lower and upper halves.
-        nodes = 1 << depth
-        left, right = np.empty((2, 2 * nodes, p))  # the leaves' ends go unused
-        mid = np.empty((nodes, p))
-        left[1], right[1] = lo, hi
-        for level in range(depth):
-            row = slice(1 << level, 2 << level)
-            mid[row] = 0.5 * (left[row] + right[row])
-            down, up = slice(2 << level, 4 << level, 2), slice((2 << level) + 1, 4 << level, 2)
-            left[down], right[down] = left[row], mid[row]
-            left[up], right[up] = mid[row], right[row]
-        # The guard acts only on a zero or subnormal pivot, so the recurrence
-        # runs without it and reruns with it if any pivot is that small or
-        # NaN; where none is, the guard would have changed nothing.
-        shifts = mid[1:].ravel()
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            pivot = _ldl_pivots(d, e2, shifts, pivmin, guard=False)
-        if not (np.abs(pivot) > pivmin).all():
-            pivot = _ldl_pivots(d, e2, shifts, pivmin, guard=True)
-        count = np.count_nonzero(pivot <= pivmin, axis=0).reshape(nodes - 1, p)
-        # Walk each interval down its tree with the bisection decisions.
-        node = np.ones(p, dtype=np.intp)
-        for _ in range(depth):
-            at = mid[node, index]
-            step_down = count[node - 1, index] > index
-            hi = np.where(step_down, at, hi)
-            lo = np.where(step_down, lo, at)
-            node = 2 * node + ~step_down
-    return np.ldexp(np.sort(0.5 * (lo + hi)), shift), steps
-
-
 def symmetric_eigenvalues(S) -> np.ndarray:
     """All eigenvalues of a real symmetric matrix, ascending.
 
-    Householder tridiagonalisation followed by Sturm-count bisection, with
-    no BLAS or LAPACK call, so the result does not depend on the BLAS thread
-    count.  Each eigenvalue is within a small multiple of p * eps * ||S||_F
-    of the exact one; LAPACK ``eigvalsh`` is the test oracle.
+    The in-house Householder reduction gives a tridiagonal T, scaled by a
+    power of two to a largest entry in [1/2, 1), and LAPACK ``eigvalsh``
+    (dsyevd) finds its eigenvalues.  On a matrix that is already
+    tridiagonal, dsytrd forms only identity reflectors (tau = 0), so its
+    threaded BLAS calls add exact zeros, and dsterf then runs implicit QL/QR
+    on one thread: the result does not depend on the BLAS thread count.  The
+    scale keeps LAPACK from rescaling and every BLAS product from overflow.
+    Each eigenvalue is within a small multiple of p * eps * ||S||_F of the
+    exact one; LAPACK ``eigvalsh`` on S itself and Sturm-count bisection on
+    T are the test oracles.
     """
     A = np.asarray(S, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1] or A.size == 0:
@@ -331,7 +224,12 @@ def symmetric_eigenvalues(S) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     _check_symmetric(A, "S")
-    return _sturm_eigenvalues(*_tridiagonalise(A))[0]
+    d, e = _tridiagonalise(A)
+    shift = _binary_exponent(np.concatenate([d, e]))
+    T = np.diag(np.ldexp(d, -shift))
+    below = np.arange(d.size - 1)
+    T[below + 1, below] = T[below, below + 1] = np.ldexp(e, -shift)
+    return np.ldexp(np.linalg.eigvalsh(T), shift)
 
 
 # bench/tracer.py traces the eigen route under this name (its spectral.eigen

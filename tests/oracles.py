@@ -133,8 +133,14 @@ def sturm_bisection(d, e) -> tuple[np.ndarray, int]:
     """Eigenvalues (ascending) of the tridiagonal (d, e) and the step count,
     by one bisection step per pass of the Sturm-count recurrence.
 
-    This is the plain loop the package's multisection must reproduce bit
-    for bit: same scaling, Gershgorin start, pivmin guard and stopping width.
+    Bisection on Sturm counts (Barth, Martin & Wilkinson, Numer. Math. 9,
+    1967), independent of LAPACK: the number of pivots <= pivmin of
+    T - x I = L D L' is the number of eigenvalues at or below x, a pivot
+    within pivmin (the smallest normal number) of zero being pushed to
+    -pivmin as in LAPACK dstebz.  Every interval starts at the widened
+    Gershgorin bounds of (d, e), scaled by a power of two to a largest entry
+    in [1/2, 1), and stops at the absolute width max(eps ||T||, pivmin).
+    The tests hold the package's eigenvalues of T to it.
     """
     p = d.size
     shift = _binary_exponent(np.concatenate([d, e]))
