@@ -8,9 +8,9 @@ bound terms whose crossover drives the optimal bandwidth:
 
 The arguments are checked as the ``lrv_mse`` config they describe, whose
 ``sweep[i]`` is ``[--n, bandwidth i]``: anything that config would refuse,
-such as replicates x bandwidths or an exact-bias lag vector past the size
-cap, exits 2 naming its field before anything is drawn.  The rows are the
-records ``run`` gives for that config.
+such as replicates x bandwidths past the size cap or a --rho so near 1
+that its autocovariance support is, exits 2 naming its field before
+anything is drawn.  The rows are the records ``run`` gives for that config.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .longrun import Kernel, _fft_size, _lag_count, _leading_stop, check_assumptions
+from .longrun import Kernel, _acf_support, _fft_size, _lag_count, check_assumptions
 from .models import (
     CovarianceModel,
     GaussianAR1,
@@ -47,10 +47,11 @@ _MAX_SEED = (1 << 64) - 1
 # covariance of a fourth_moment vector, or an esd covariance), p * n (an esd
 # sample), atoms * points (a grid), the per-row values of a Monte Carlo run
 # (replicates, or replicates * distinct sweep points for lrv_mse), one row
-# of an lrv_mse chunk (the sweep's largest FFT size), the lags the exact
-# bias of one lrv_mse sweep point sums, and the kernel weights of an lrv_mse
-# run, summed over its distinct points.  A Monte Carlo run never holds its whole
-# replicates x width block: it draws a chunk of rows at a time.
+# of an lrv_mse chunk (the sweep's largest FFT size), the autocovariance
+# support of an lrv_mse model (the lags every bias sum reads), and the kernel
+# weights of an lrv_mse run, summed over its distinct points.  A Monte Carlo
+# run never holds its whole replicates x width block: it draws a chunk of
+# rows at a time.
 # 2**24 doubles is 128 MiB; a larger size is refused before anything is
 # allocated, rather than failing in numpy.
 _MAX_DOUBLES = 1 << 24
@@ -491,13 +492,12 @@ def validate(
         report = check_assumptions(kwargs["kernel"])
         if not report.all_pass:
             raise ConfigError(f"kernel: fails its assumptions: {report}")
+        _check_doubles(_acf_support(kwargs["model"]), "model", "autocovariance support lags")
         points = set(kwargs["sweep"])
         _check_doubles(replicates * len(points), "replicates", "replicates x sweep points")
         for i, (n, m) in enumerate(kwargs["sweep"]):
             size = _fft_size(n, _lag_count(kwargs["kernel"], m, n))
             _check_doubles(size, f"sweep[{i}]", "FFT size")
-            lags = _leading_stop(kwargs["model"], kwargs["kernel"], m, n)
-            _check_doubles(lags, f"sweep[{i}]", "exact-bias lags")
         weights = sum(_lag_count(kwargs["kernel"], m, n) for n, m in points)
         _check_doubles(weights, "sweep", "kernel weights")
     elif "replicates" in spec.optional:

@@ -26,7 +26,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .models import CovarianceModel, DependenceProfile, _acf, _path_chunks, autocovariance
+from .models import (
+    CovarianceModel, DependenceProfile, _acf, _path_chunks, autocovariance, dependence_profile
+)
 
 __all__ = [
     "Kernel",
@@ -501,6 +503,18 @@ def _bias_sum(model: CovarianceModel, weights: np.ndarray, cov: np.ndarray) -> f
     return head - 2.0 * _autocov_tail_sum(model, cov.size + 1)
 
 
+def _acf_support(model: CovarianceModel) -> int:
+    """L, the lags every bias sum reads: the model's ``_acf`` head, extended
+    to the lag past which its geometric tail sums below double precision."""
+    head, (coeff, ratio) = _acf(model)
+    support = head.size - 1
+    r = abs(ratio)
+    if coeff != 0.0 and r != 0.0:
+        lag = math.log(1e-18 * (1.0 - r) / abs(coeff)) / math.log(r)
+        support = max(support, int(math.ceil(lag)))
+    return support
+
+
 def exact_bias(
     model: CovarianceModel, kernel: Kernel, m: float, n: int
 ) -> BiasDecomposition:
@@ -508,14 +522,12 @@ def exact_bias(
 
     The expectation of the lag form is a finite weighted sum of
     autocovariances; subtracting sigma^2 leaves
-    2 sum_{j=1}^{n-1} ((1 - j/n) K(j/m) - 1) C(j) - 2 sum_{j >= n} C(j),
-    evaluated with the model's exact tail.  The leading term drops the
-    triangular factor and extends the sum far enough that the residual tail
-    is exact for the bundled models.  Both sums read one set of lag vectors,
-    the exact one its first n - 1 entries.
+    2 sum_{j=1}^{n-1} ((1 - j/n) K(j/m) - 1) C(j) - 2 sum_{j >= n} C(j).
+    Both terms read C(1..L), L the model's ``_acf_support``, and add its
+    exact tail past their last lag, so they drop only 2 sum_{j > L} K C,
+    which is below double precision: no array is sized by n or m.
     """
-    _check_point(m, n)
-    cov = autocovariance(model, np.arange(1, _leading_stop(model, kernel, m, n) + 1))
+    cov = autocovariance(model, np.arange(1, _acf_support(model) + 1))
     return _exact_bias(model, kernel, m, n, cov)
 
 
@@ -529,33 +541,16 @@ def _check_point(m: float, n: int) -> None:
 def _exact_bias(
     model: CovarianceModel, kernel: Kernel, m: float, n: int, cov: np.ndarray
 ) -> BiasDecomposition:
-    """``exact_bias`` from C(1..J), J at least the point's ``_leading_stop``;
-    the points of one n share one such vector."""
-    stop = _leading_stop(model, kernel, m, n)  # >= n - 1
-    cov = cov[:stop]
-    js = np.arange(1, stop + 1)
+    """``exact_bias`` from the model's C(1..L), L = ``_acf_support(model)``."""
+    _check_point(m, n)
+    js = np.arange(1, cov.size + 1)
     weights = kernel_eval(kernel, js / m)
-    head = n - 1
+    head = min(n - 1, cov.size)
     triangular = weights[:head] * (1.0 - js[:head] / n)
     return BiasDecomposition(
         exact=_bias_sum(model, triangular, cov[:head]),
         leading=_bias_sum(model, weights, cov),
     )
-
-
-def _leading_stop(model: CovarianceModel, kernel: Kernel, m: float, n: int) -> int:
-    """Lag count after which both K(j/m) C(j) and C(j) are exactly summable."""
-    stop = n - 1
-    if math.isfinite(kernel.support_radius):
-        stop = max(stop, int(math.ceil(kernel.support_radius * m)))
-    head, (coeff, ratio) = _acf(model)
-    stop = max(stop, head.size - 1)
-    r = abs(ratio)
-    if coeff != 0.0 and r != 0.0:
-        # beyond this lag the geometric tail is below double precision
-        lag = math.log(1e-18 * (1.0 - r) / abs(coeff)) / math.log(r)
-        stop = max(stop, int(math.ceil(lag)))
-    return stop
 
 
 def variance_bound_c_free(
@@ -584,27 +579,21 @@ class MSEReport:
 
 
 def mse_bound(
-    profile: DependenceProfile,
-    model: CovarianceModel,
-    kernel: Kernel,
-    points: Sequence[tuple[int, float]],
+    model: CovarianceModel, kernel: Kernel, points: Sequence[tuple[int, float]]
 ) -> list[MSEReport]:
     """The C-free variance bound, the squared-bias coefficient
     4 (k_q Gamma_q)^2 / m^{2q} (zero for a degenerate kernel) and the exact
-    bias at each (n, m) of ``points``.  The points of one n share one
-    autocovariance vector, so each report has the bits of a batch of one."""
+    bias at each (n, m) of ``points``.  Every point reads one dependence
+    profile and one autocovariance vector, so each has the bits of a batch of one."""
     report = check_assumptions(kernel)
     if not report.all_pass:
         raise ValueError(f"kernel fails its assumptions: {report}")
-    stops: dict[int, int] = {}
-    for n, m in points:
-        _check_point(m, n)
-        stops[n] = max(stops.get(n, 0), _leading_stop(model, kernel, m, n))
-    covs = {n: autocovariance(model, np.arange(1, stop + 1)) for n, stop in stops.items()}
+    profile = dependence_profile(model)
+    cov = autocovariance(model, np.arange(1, _acf_support(model) + 1))
     gq = None if report.degenerate_limit or report.k_q == 0.0 else gamma_q(model, report.q)
     return [
         MSEReport(
-            bias=_exact_bias(model, kernel, m, n, covs[n]),
+            bias=_exact_bias(model, kernel, m, n, cov),
             variance_bound_c_free=variance_bound_c_free(profile, kernel, m, n),
             squared_bias_leading=(
                 0.0 if gq is None else 4.0 * (report.k_q * gq) ** 2 / m ** (2.0 * report.q)

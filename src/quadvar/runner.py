@@ -171,12 +171,11 @@ def _run_stieltjes_grid(cfg: ExperimentConfig) -> list[dict]:
 
 def _run_lrv_mse(cfg: ExperimentConfig) -> list[dict]:
     model, kernel = cfg.model, cfg.kernel
-    profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     cap = cfg.tolerances["ratio_cap"]
     slack = cfg.tolerances["slack_over_n"]
     mses = mc_mse(model, kernel, cfg.sweep, cfg.replicates, cfg.seed)
-    reports = mse_bound(profile, model, kernel, cfg.sweep)
+    reports = mse_bound(model, kernel, cfg.sweep)
     rows = []
     for (n, m), mse, report in zip(cfg.sweep, mses, reports):
         budget = report.variance_bound_c_free + report.squared_bias_leading

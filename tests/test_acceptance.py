@@ -348,7 +348,6 @@ def mse_sweep():
     """Monte Carlo MSE sweep shared by the consistency and shape checks."""
     model = GaussianAR1(rho=0.5)
     kernel = Kernel("bartlett")
-    profile = dependence_profile(model)
     sigma2 = lrv_true(model)
     replicates = 500
     start = time.perf_counter()
@@ -367,7 +366,7 @@ def mse_sweep():
     points += [(32000, float(m)) for m in (2, 8, 32, 128)]
     budget = {
         point: report.variance_bound_c_free + report.squared_bias_leading
-        for point, report in zip(points, mse_bound(profile, model, kernel, points))
+        for point, report in zip(points, mse_bound(model, kernel, points))
     }
     return {
         "consistency": consistency,

@@ -1,6 +1,7 @@
 """Kernels, long-run variance estimation, and the bias/variance envelopes."""
 
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,6 +13,7 @@ from oracles import cumulant_sum, fourth_cumulant, lrv_mc_mse_reference
 from quadvar import models
 from quadvar.longrun import (
     Kernel,
+    _acf_support,
     _autocov_tail_sum,
     _lag_sums,
     check_assumptions,
@@ -340,8 +342,7 @@ def test_variance_bound_closed_form():
 
 def test_mse_bound_report_fields():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model)
-    [report] = mse_bound(profile, model, Kernel("bartlett"), [(100, 10.0)])
+    [report] = mse_bound(model, Kernel("bartlett"), [(100, 10.0)])
     assert lrv_true(model) == pytest.approx(3.0, rel=1e-14)
     # 4 (k_q Gamma_q)^2 / m^(2q) with q=1: 4 * (1*2)^2 / 100
     assert report.squared_bias_leading == pytest.approx(0.16, rel=1e-12)
@@ -354,15 +355,15 @@ def test_mse_bound_report_fields():
     "model", [GaussianAR1(rho=0.5), GaussianMA(coeffs=(0.6, 0.3, 0.1))], ids=repr
 )
 def test_mse_bounds_share_a_lag_vector_with_the_bits_of_one_call_a_point(model, kernel):
-    # Bartlett at n = 100, m = 150 sums 150 lags and at m = 2 only 99: the
-    # second reads a prefix of the first's vector
+    # every point reads the model's one C(1..L), L = 61 for the AR(1) and 2
+    # for the MA: the leading bias all of it, the exact bias at n = 100 and
+    # 300 its first min(n - 1, L) entries, whatever m is
     kernel = Kernel(kernel)
-    profile = dependence_profile(model)
     points = [(100, 2.0), (300, 8.0), (100, 150.0), (100, 2.0), (300, 4.0)]
-    reports = mse_bound(profile, model, kernel, points)
+    reports = mse_bound(model, kernel, points)
     assert len(reports) == len(points)
     for (n, m), got in zip(points, reports):
-        [want] = mse_bound(profile, model, kernel, [(n, m)])
+        [want] = mse_bound(model, kernel, [(n, m)])
         assert got.bias.exact.hex() == want.bias.exact.hex(), (n, m)
         assert got.bias.leading.hex() == want.bias.leading.hex(), (n, m)
         assert got == want, (n, m)
@@ -370,17 +371,57 @@ def test_mse_bounds_share_a_lag_vector_with_the_bits_of_one_call_a_point(model, 
 
 def test_mse_bound_degenerate_kernel_has_zero_leading_bias():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model)
-    [report] = mse_bound(profile, model, Kernel("truncated"), [(100, 10.0)])
+    [report] = mse_bound(model, Kernel("truncated"), [(100, 10.0)])
     assert report.squared_bias_leading == 0.0
 
 
 def test_mse_bound_rejects_failing_assumptions():
     model = GaussianAR1(rho=0.5)
-    profile = dependence_profile(model)
     bad = Kernel.tabulated([0.0, 2.0**-43], [1.0, 0.5])
     with pytest.raises(ValueError):
-        mse_bound(profile, model, bad, [(100, 10.0)])
+        mse_bound(model, bad, [(100, 10.0)])
+
+
+@pytest.mark.parametrize("rho, support", [(-0.9, 416), (0.5, 61), (0.99, 4583)])
+def test_acf_support_leaves_an_ar1_tail_below_double_precision(rho, support):
+    # sum_{j > L} |C(j)| = |rho|^(L + 1) / (1 - |rho|) for C(j) = rho^j
+    assert _acf_support(GaussianAR1(rho=rho)) == support
+    assert abs(rho) ** (support + 1) / (1.0 - abs(rho)) <= 1e-18
+
+
+@pytest.mark.parametrize(
+    "model, support",
+    [
+        (GaussianMA(coeffs=(0.6, 0.3, 0.1)), 2),
+        (GaussianMA(coeffs=(0.5, 0.4, 0.3, 0.2, 0.1)), 4),
+        (GaussianAR1(rho=0.0), 0),
+        (RademacherIID(), 0),
+        (RademacherProductMDS(), 0),
+    ],
+    ids=repr,
+)
+def test_acf_support_of_a_finite_table_is_its_last_lag(model, support):
+    # an MA(q) sets C(0..q) and nothing past it; white models set C(0) only
+    assert _acf_support(model) == support
+
+
+def test_bias_arrays_are_sized_by_the_model_not_by_n_or_m():
+    # Bartlett at m = 1e15 weights 1e15 lags, and n = 2^23 reads 2^23 - 1 of
+    # them; the bias sums read the model's 61 at rho = 0.5 whatever n and m are
+    model, kernel = GaussianAR1(rho=0.5), Kernel("bartlett")
+    n, m = 2**23, 1e15
+    tracemalloc.start()
+    try:
+        bias = exact_bias(model, kernel, m, n)
+        [report] = mse_bound(model, kernel, [(n, m)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+    assert report.bias == bias
+    # 2 sum_j ((1 - j/n)(1 - j/m) - 1) rho^j = -2 (1/n + 1/m) rho / (1 - rho)^2
+    # up to a j^2 / (n m) term of relative size 1e-15
+    assert bias.exact == pytest.approx(-4.0 / n - 4.0 / m, rel=1e-10)
 
 
 # ------------------------------------------------------------------- cumulants

@@ -386,28 +386,32 @@ def test_lrv_mse_kernel_weights_at_the_doubles_cap_are_accepted():
         validate(json.dumps(raw))
 
 
-_AR1_NEAR_ONE = {"name": "gaussian_ar1", "rho": 0.9999999}
-
-
 @pytest.mark.parametrize(
-    "raw, field",
+    "rho",
     [
-        # the Bartlett support of 1 at m = 1e15 asks for 1e15 lags
-        pytest.param({**_LRV, "sweep": [[100, 4.0], [100, 1e15]]}, "sweep[1]", id="support"),
-        pytest.param({**_LRV, "sweep": [[100, 2.0**24 + 1]]}, "sweep[0]", id="support_edge"),
         # the AR(1) tail reaches double precision only after 5.8e8 lags
-        pytest.param({**_LRV, "model": _AR1_NEAR_ONE}, "sweep[0]", id="ar1_tail"),
+        pytest.param(0.9999999, id="ar1_tail"),
+        pytest.param(-0.9999999, id="ar1_tail_negative"),
     ],
 )
-def test_exact_bias_lags_past_the_doubles_cap_is_exit_two(tmp_path, capsys, raw, field):
-    """validate refuses a sweep point whose exact bias would sum more lags
-    than the cap, before any lag vector is allocated."""
-    _refused(tmp_path, capsys, json.dumps({**raw, "replicates": 2}), field)
+def test_exact_bias_lags_past_the_doubles_cap_is_exit_two(tmp_path, capsys, rho):
+    """validate refuses a model whose autocovariance support, the lags every
+    bias sum reads, is past the cap, before any lag vector is allocated."""
+    raw = {**_LRV, "model": {"name": "gaussian_ar1", "rho": rho}, "replicates": 2}
+    _refused(tmp_path, capsys, json.dumps(raw), "model")
 
 
 def test_exact_bias_lags_at_the_doubles_cap_are_accepted():
-    raw = {**_LRV, "replicates": 2, "sweep": [[100, 2.0**24]]}
-    assert validate(json.dumps(raw)).sweep == ((100, 2.0**24),)
+    # no bandwidth is capped by the bias sums: Bartlett at m = 1e15 weights
+    # 1e15 lags, and its bias reads the model's 61
+    raw = {**_LRV, "replicates": 2, "sweep": [[100, 1e15]]}
+    assert validate(json.dumps(raw)).sweep == ((100, 1e15),)
+    # the AR(1) support is 2^24 lags at this rho and 2^24 + 1 at the next
+    raw["model"] = {"name": "gaussian_ar1", "rho": 0.999996775907}
+    assert validate(json.dumps(raw)).model == models.GaussianAR1(rho=0.999996775907)
+    raw["model"]["rho"] = 0.9999967759071
+    with pytest.raises(ConfigError, match="model: autocovariance support lags = 16777217 "):
+        validate(json.dumps(raw))
 
 
 def test_nan_in_a_key_the_kind_never_reads_is_exit_two(tmp_path, capsys):
@@ -1065,46 +1069,47 @@ def test_bench_configs_pass_their_assertions():
     assert sorted((p, p.stat().st_mtime_ns) for p in bench.rglob("*")) == before
 
 
-def test_bandwidth_tradeoff_refuses_a_bandwidth_past_the_lag_cap(monkeypatch, capsys):
-    """The arguments are checked as an lrv_mse config: a bandwidth whose exact
-    bias would sum 1e15 lags, and replicates x bandwidths past the doubles
-    cap, each exit 2 through the parser before a path is drawn or a lag
-    vector allocated, naming the config field at fault."""
+def _bandwidth_tradeoff(monkeypatch, *args: str) -> int:
+    """Run the script's main with ``args``, returning its exit status."""
+    monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
+    with pytest.raises(SystemExit) as exc:
+        runpy.run_path(str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__")
+    return exc.value.code
+
+
+def test_bandwidth_tradeoff_refuses_replicates_past_the_doubles_cap(monkeypatch, capsys):
+    """The arguments are checked as an lrv_mse config: replicates x
+    bandwidths past the doubles cap exits 2 through the parser before a
+    path is drawn, naming the config field at fault."""
     def no_draws(*args, **kwargs):
         raise AssertionError("paths drawn before the arguments were checked")
 
     monkeypatch.setattr(longrun, "_path_chunks", no_draws)
-    for args, message in (
-        (
-            ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"],
-            "sweep[1]: exact-bias lags = 1000000000000000 exceeds",
-        ),
-        (
-            ["--n", "100", "--replicates", str(2**23 + 1), "--bandwidths", "2", "4"],
-            "replicates: replicates x sweep points = 16777218 exceeds",
-        ),
-    ):
-        monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
-        tracemalloc.start()
-        try:
-            with pytest.raises(SystemExit) as exc:
-                runpy.run_path(
-                    str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__"
-                )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert exc.value.code == 2, args
-        assert message in capsys.readouterr().err, args
-        assert peak <= 2**20, args
+    args = ["--n", "100", "--replicates", str(2**23 + 1), "--bandwidths", "2", "4"]
+    tracemalloc.start()
+    try:
+        code = _bandwidth_tradeoff(monkeypatch, *args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert "replicates: replicates x sweep points = 16777218 exceeds" in capsys.readouterr().err
+    assert peak <= 2**20
+
+
+def test_bandwidth_tradeoff_runs_a_bandwidth_of_1e15(monkeypatch, capsys):
+    # the bias sums read the model's support and an estimate at most n - 1
+    # lags, so a bandwidth far past n runs like any other
+    args = ["--n", "100", "--replicates", "2", "--bandwidths", "2", "1e15"]
+    assert _bandwidth_tradeoff(monkeypatch, *args) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert [float(row.split()[0]) for row in rows] == [2.0, 1e15]
+    assert float(rows[1].split()[3]) == 0.0
 
 
 def test_bandwidth_tradeoff_prints_the_records_of_run(monkeypatch, capsys):
     args = ["--n", "200", "--replicates", "2", "--bandwidths", "2", "8", "--seed", "4"]
-    monkeypatch.setattr(sys, "argv", ["bandwidth_tradeoff.py", *args])
-    with pytest.raises(SystemExit) as exc:
-        runpy.run_path(str(REPO / "scripts" / "bandwidth_tradeoff.py"), run_name="__main__")
-    assert exc.value.code == 0
+    assert _bandwidth_tradeoff(monkeypatch, *args) == 0
     lines = capsys.readouterr().out.splitlines()
     # the script's defaults are _lrv_config's model and kernel
     rows = [r.metrics for r in run(_lrv_config([[200, 2.0], [200, 8.0]], 2))]
