@@ -273,8 +273,8 @@ def _szego_sums(lam, w, rho, v):
     return t, terms.sum(axis=0)
 
 
-def _defining_residual(lam, w, c, zs, m, rho=0.0):
-    """|m - F(m)| for the limit equation, vectorised over the z axis.
+def _fixed_point_gap(lam, w, c, zs, m, rho=0.0):
+    """m - F(m) for the limit equation, vectorised over the z axis.
 
     For rho != 0, F(m) = -sum_k w_k E[1 / (1 + lambda_k f v)] / z with
     v = -(1 - c - c z m) / z, and the average is 1 - u_k v / R_k.
@@ -282,10 +282,15 @@ def _defining_residual(lam, w, c, zs, m, rho=0.0):
     a = 1.0 - c - c * zs * m
     if rho == 0.0:
         denom = lam[:, None] * a[None, :] - zs[None, :]
-        return np.abs(m - (w[:, None] / denom).sum(axis=0))
+        return m - (w[:, None] / denom).sum(axis=0)
     v = -a / zs
     t, _ = _szego_sums(lam, w, rho, v)
-    return np.abs(m + (w.sum() - v * t) / zs)
+    return m + (w.sum() - v * t) / zs
+
+
+def _defining_residual(lam, w, c, zs, m, rho=0.0):
+    """|m - F(m)| for the limit equation, vectorised over the z axis."""
+    return np.abs(_fixed_point_gap(lam, w, c, zs, m, rho))
 
 
 def _atom_sums(lam, w, rho, z, a):
@@ -310,15 +315,19 @@ def _atom_sums(lam, w, rho, z, a):
 def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
     """Solve the limit equation at every z of ``zs`` independently.
 
-    Works on the companion variable v = -(1-c)/z + c m, the root of
+    Works with the companion variable v = -(1-c)/z + c m, the root of
     h(v) = v (z - c t(v)) + 1 with t(v) = sum_k w_k lambda_k / (1 + lambda_k v).
     The companion map v <- -1/(z - c t(v)) sends the upper half-plane into
     itself, and its fixed point there is the Stieltjes branch (Silverstein &
     Choi 1995), but near the real axis it contracts only at rate
-    1 - O(Im z).  So each step first tries Newton on h and keeps it only where
-    it is finite, stays in the upper half-plane (Im v > 0, Im m > 0) and
-    lowers the defining residual |m - F(m)|; elsewhere it takes the companion
-    step.  v starts at -1/z, or at the warm start ``m0`` where that lies in
+    1 - O(Im z).  So each step first tries Newton on the gap m - F(m), whose
+    modulus is the defining residual, and keeps it only where it is finite,
+    stays in the upper half-plane (Im v > 0, Im m > 0) and lowers the
+    residual; elsewhere it takes the companion step.  The gap equals
+    h / (c z) when the weights sum to 1, but forming h = 1 - a g cancels to
+    an absolute error ~1e-16 that dividing by c z magnifies: at c = 0.107,
+    z = 1e-3 i a Newton step on h lands 1e-12 off the root and never lowers
+    the residual to 1e-12.  v starts at -1/z, or at the warm start ``m0`` where that lies in
     the upper half-plane.  A point stops once its residual is <= tol with
     Im m > 0; its iteration count is the number of steps it took.
 
@@ -351,33 +360,33 @@ def _solve_points(lam, w, c, zs, tol, max_iter, m0=None, rho=0.0):
         m0 = np.asarray(m0, dtype=complex)
         v0 = c * m0 - drift
         m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
-    residual = _defining_residual(lam, w, c, zs, m, rho)
+    gap = _fixed_point_gap(lam, w, c, zs, m, rho)
+    residual = np.abs(gap)
     iterations = np.zeros(zs.shape, dtype=int)
     for _ in range(max_iter):
         todo = ((residual > tol) | (m.imag <= 0.0)).nonzero()[0]
         if todo.size == 0:
             break
-        z, mt, cz_t = zs[todo], m[todo], cz[todo]
-        a = 1.0 - c - cz_t * mt  # = -z v
+        z, mt = zs[todo], m[todo]
+        a = 1.0 - c - cz[todo] * mt  # = -z v
         s1, s2 = _atom_sums(lam, w, rho, z, a)  # t = -z s1, t' = -z^2 s2
         g = 1.0 + c * s1  # z - c t = z g
-        h = 1.0 - a * g  # h = v (z - c t) + 1
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = h / (cz_t * (g - c * a * s2))  # h / (c h'), h' = z (g - c a s2)
-            m_newton = mt - step
+            m_newton = mt - gap[todo] / (g - c * a * s2)  # 1 - F'(m) = g - c a s2
             v_newton = c * m_newton - drift[todo]
-            res_newton = _defining_residual(lam, w, c, z, m_newton, rho)
+            gap_newton = _fixed_point_gap(lam, w, c, z, m_newton, rho)
+            res_newton = np.abs(gap_newton)
         # a NaN residual fails the comparison, so a kept step is finite
         newton = (v_newton.imag > 0.0) & (m_newton.imag > 0.0) & (res_newton < residual[todo])
         if newton.all():
-            m[todo], residual[todo] = m_newton, res_newton
+            m[todo], gap[todo], residual[todo] = m_newton, gap_newton, res_newton
         else:
             # companion step v <- -1/(z g), mapped back to m without cancellation
             m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
+            gap_companion = _fixed_point_gap(lam, w, c, z, m_companion, rho)
             m[todo] = np.where(newton, m_newton, m_companion)
-            residual[todo] = np.where(
-                newton, res_newton, _defining_residual(lam, w, c, z, m_companion, rho)
-            )
+            gap[todo] = np.where(newton, gap_newton, gap_companion)
+            residual[todo] = np.where(newton, res_newton, np.abs(gap_companion))
         iterations[todo] += 1
     return m, residual, iterations
 

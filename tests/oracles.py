@@ -178,16 +178,17 @@ def sturm_bisection(d, e) -> tuple[np.ndarray, int]:
     return np.ldexp(np.sort(0.5 * (lo + hi)), shift), steps
 
 
-def _limit_residual(lam, w, c, zs, m):
-    """|m - F(m)| for the limit equation, vectorised over the z axis."""
+def _limit_gap(lam, w, c, zs, m):
+    """m - F(m) for the limit equation, vectorised over the z axis."""
     denom = lam[:, None] * (1.0 - c - c * zs * m)[None, :] - zs[None, :]
-    return np.abs(m - np.sum(w[:, None] / denom, axis=0))
+    return m - np.sum(w[:, None] / denom, axis=0)
 
 
 def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
     """The limit-equation solver with every candidate formed at every step:
-    Newton and companion steps on the whole unconverged set, the Newton step
-    kept where it is finite, in the upper half-plane and lowers |m - F(m)|.
+    Newton steps on the gap m - F(m) and companion steps on the whole
+    unconverged set, the Newton step kept where it is finite, in the upper
+    half-plane and lowers |m - F(m)|.
 
     The package's solver skips work this one does and must return the same
     m, residuals and iteration counts bit for bit.
@@ -198,7 +199,8 @@ def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
         m0 = np.asarray(m0, dtype=complex)
         v0 = c * m0 - (1.0 - c) / zs
         m = np.where(np.isfinite(v0) & (v0.imag > 0.0), m0, m)
-    residual = _limit_residual(lam, w, c, zs, m)
+    gap = _limit_gap(lam, w, c, zs, m)
+    residual = np.abs(gap)
     iterations = np.zeros(zs.shape, dtype=int)
     lam_col = lam[:, None]
     w_lam = (w * lam)[:, None]
@@ -217,12 +219,11 @@ def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
         term *= inv
         s2 = term.sum(axis=0)
         g = 1.0 + c * s1
-        h = 1.0 - a * g
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            step = h / (c * z * (g - c * a * s2))
-            m_newton = mt - step
+            m_newton = mt - gap[todo] / (g - c * a * s2)
             v_newton = c * m_newton - (1.0 - c) / z
-            res_newton = _limit_residual(lam, w, c, z, m_newton)
+            gap_newton = _limit_gap(lam, w, c, z, m_newton)
+            res_newton = np.abs(gap_newton)
         newton = (
             (v_newton.imag > 0.0)
             & (m_newton.imag > 0.0)
@@ -231,9 +232,8 @@ def solve_points_reference(lam, w, c, zs, tol, max_iter, m0=None):
         )
         m_companion = -(1.0 - (1.0 - c) * s1) / (z * g)
         m[todo] = np.where(newton, m_newton, m_companion)
-        residual[todo] = np.where(
-            newton, res_newton, _limit_residual(lam, w, c, z, m_companion)
-        )
+        gap[todo] = np.where(newton, gap_newton, _limit_gap(lam, w, c, z, m_companion))
+        residual[todo] = np.abs(gap[todo])
         iterations[todo] += 1
     return m, residual, iterations
 
